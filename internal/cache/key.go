@@ -1,13 +1,12 @@
 package cache
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/battery"
 	"repro/internal/core"
@@ -56,8 +55,9 @@ const keyVersion = "battsched-cache-v3"
 // fully cacheable; the old "custom model ⇒ uncacheable" carve-out
 // applies only to the deprecated Model field.
 //
-// Key derivation is the whole cost of a cache hit, so it hashes the
-// graph directly (no Spec marshaling) through a reused buffer.
+// Key derivation is the whole cost of a cache hit, so it encodes the
+// graph directly (no Spec marshaling) into one buffer and hashes that
+// once.
 //
 // The battlint:canonical exclusions below are the result-neutral fields
 // listed above, plus Options.Beta, .SeriesTerms, .Battery and .Model,
@@ -84,7 +84,7 @@ func Key(job engine.Job) (key string, ok bool) {
 	if err != nil {
 		return "", false
 	}
-	k := keyHasher{h: sha256.New()}
+	k := keyEncoder{buf: make([]byte, 0, keyBytesHint(job.Graph))}
 	k.str(keyVersion)
 	k.str(strategy)
 	k.f64(job.Deadline)
@@ -108,69 +108,75 @@ func Key(job engine.Job) (key string, ok bool) {
 	}
 
 	k.graph(job.Graph)
-	return hex.EncodeToString(k.h.Sum(nil)), true
+	sum := sha256.Sum256(k.buf)
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:]), true
 }
 
-// keyHasher wraps the hash with a reused scratch buffer so the hot
-// fixed-width writes do not allocate.
-type keyHasher struct {
-	h   hash.Hash
-	buf [8]byte
+// keyEncoder builds the canonical byte string a key hashes: every
+// field appended to one buffer, hashed once at the end.
+type keyEncoder struct {
+	buf []byte
 }
 
-// specStackBytes fits every fixed-parameter spec encoding (kind + three
-// float64s); only calibrated specs with long observation lists spill to
-// the heap.
-const specStackBytes = 64
-
-// spec hashes the battery spec's canonical bytes, length-prefixed like
-// every variable-width field.
-func (k *keyHasher) spec(s battery.Spec) {
-	var stack [specStackBytes]byte
-	enc := s.AppendCanonical(stack[:0])
-	k.i64(int64(len(enc)))
-	k.h.Write(enc)
+// keyBytesHint sizes the encoder's buffer so a graph with short task
+// and point names encodes without regrowing it.
+func keyBytesHint(g *taskgraph.Graph) int {
+	n := 256
+	for i := 0; i < g.N(); i++ {
+		n += 48 + 8*len(g.ParentIndices(i)) + 40*len(g.TaskAt(i).Points)
+	}
+	return n
 }
 
-// str writes s length-prefixed so adjacent fields cannot melt into each
-// other.
-func (k *keyHasher) str(s string) {
+// spec appends the battery spec's canonical bytes, length-prefixed
+// like every variable-width field.
+func (k *keyEncoder) spec(s battery.Spec) {
+	at := len(k.buf)
+	k.i64(0) // length, patched below
+	k.buf = s.AppendCanonical(k.buf)
+	binary.LittleEndian.PutUint64(k.buf[at:], uint64(len(k.buf)-at-8))
+}
+
+// str appends s length-prefixed so adjacent fields cannot melt into
+// each other.
+func (k *keyEncoder) str(s string) {
 	k.i64(int64(len(s)))
-	io.WriteString(k.h, s)
+	k.buf = append(k.buf, s...)
 }
 
-// f64 writes the exact bit pattern (distinguishes -0/+0 and every NaN
+// f64 appends the exact bit pattern (distinguishes -0/+0 and every NaN
 // payload; exactness matters more than normalization here).
-func (k *keyHasher) f64(v float64) {
-	binary.LittleEndian.PutUint64(k.buf[:], math.Float64bits(v))
-	k.h.Write(k.buf[:])
+func (k *keyEncoder) f64(v float64) {
+	k.buf = binary.LittleEndian.AppendUint64(k.buf, math.Float64bits(v))
 }
 
-func (k *keyHasher) i64(v int64) {
-	binary.LittleEndian.PutUint64(k.buf[:], uint64(v))
-	k.h.Write(k.buf[:])
+func (k *keyEncoder) i64(v int64) {
+	k.buf = binary.LittleEndian.AppendUint64(k.buf, uint64(v))
 }
 
-func (k *keyHasher) ints(vs ...int) {
+func (k *keyEncoder) ints(vs ...int) {
 	for _, v := range vs {
 		k.i64(int64(v))
 	}
 }
 
-// graph hashes the graph content canonically: tasks in ascending ID
+// graph appends the graph content canonically: tasks in ascending ID
 // order (whatever order they were added in), each with its name, its
 // validated ascending-time design points and its sorted parent IDs.
-func (k *keyHasher) graph(g *taskgraph.Graph) {
+func (k *keyEncoder) graph(g *taskgraph.Graph) {
 	n := g.N()
-	ids := make([]int, n)
-	for i := 0; i < n; i++ {
-		ids[i] = g.IDAt(i)
-	}
-	sort.Ints(ids)
 	k.ints(n)
-	for _, id := range ids {
-		t := g.Task(id)
-		k.ints(id)
+	var parentBuf [16]int
+	order := idOrder(g)
+	for pos := 0; pos < n; pos++ {
+		i := pos
+		if order != nil {
+			i = order[pos]
+		}
+		t := g.TaskAt(i)
+		k.ints(t.ID)
 		k.str(t.Name)
 		k.ints(len(t.Points))
 		for _, p := range t.Points {
@@ -179,11 +185,32 @@ func (k *keyHasher) graph(g *taskgraph.Graph) {
 			k.f64(p.Voltage)
 			k.str(p.Name)
 		}
-		parents := g.Parents(id)
-		sort.Ints(parents)
+		parents := parentBuf[:0]
+		for _, pi := range g.ParentIndices(i) {
+			parents = append(parents, g.IDAt(pi))
+		}
+		slices.Sort(parents)
 		k.ints(len(parents))
 		k.ints(parents...)
 	}
+}
+
+// idOrder returns the dense task indices in ascending ID order, or nil
+// when that is the dense order itself — graphs are usually built in ID
+// order.
+func idOrder(g *taskgraph.Graph) []int {
+	n := g.N()
+	for i := 1; i < n; i++ {
+		if g.IDAt(i-1) > g.IDAt(i) {
+			order := make([]int, n)
+			for j := range order {
+				order[j] = j
+			}
+			slices.SortFunc(order, func(a, b int) int { return cmp.Compare(g.IDAt(a), g.IDAt(b)) })
+			return order
+		}
+	}
+	return nil
 }
 
 func boolBit(b bool) int {

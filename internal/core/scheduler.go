@@ -74,10 +74,6 @@ type Scheduler struct {
 	// energyOrder is the paper's Energy Vector E: task indices sorted
 	// by ascending average energy (ties by smaller ID).
 	energyOrder []int
-	// reachBits[i] is the reachable set of task i (descendants including
-	// i) as a bitset over dense task indices — the Equation-4 weights
-	// iterate it without touching the graph's per-task index slices.
-	reachBits [][]uint64
 	// cands[i] holds task i's design-point columns in the backward
 	// pass's scan order (descending), with exact-duplicate columns
 	// pruned: two columns with bit-equal (time, current) produce
@@ -208,16 +204,6 @@ func NewBase(g *taskgraph.Graph, opt Options) (*SchedulerBase, error) {
 		}
 		return g.IDAt(ia) < g.IDAt(ib)
 	})
-	words := (n + 63) / 64
-	backing := make([]uint64, n*words)
-	s.reachBits = make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		row := backing[i*words : (i+1)*words]
-		for _, u := range g.ReachableIndices(i) {
-			row[u/64] |= 1 << uint(u%64)
-		}
-		s.reachBits[i] = row
-	}
 	s.buildCandidates()
 	s.analyzeLowerBound()
 	return &SchedulerBase{proto: *s}, nil
@@ -475,7 +461,7 @@ func (s *Scheduler) InitialSequence() []int { return s.idsOf(s.initialSequence()
 
 // weightedSequenceInto is the paper's FindWeightedSequence: Equation 4
 // assigns every task the sum of the assigned-design-point currents over
-// the subgraph rooted at it (read off the precomputed reachability
+// the subgraph rooted at it (read off the graph's reachability
 // bitsets), then list-schedules by decreasing weight into out.
 //
 //battsched:hotpath
@@ -483,7 +469,7 @@ func (s *Scheduler) weightedSequenceInto(assign []int, scr *runScratch, out []in
 	w := scr.weights
 	for i := 0; i < s.n; i++ {
 		var sum float64
-		for wi, word := range s.reachBits[i] {
+		for wi, word := range s.g.ReachableBits(i) {
 			base := wi * 64
 			for word != 0 {
 				u := base + bits.TrailingZeros64(word)

@@ -128,12 +128,15 @@ type Config struct {
 // Handler on an http.Server. Call Close when draining so requests
 // queued for capacity fail fast instead of stalling the shutdown.
 type Server struct {
-	cfg       Config
-	cache     *cache.Cache // nil when caching is disabled
-	engine    cache.Engine
-	jobs      *queue.Queue
-	sem       chan struct{}
-	closed    chan struct{}
+	cfg    Config
+	cache  *cache.Cache // nil when caching is disabled
+	engine cache.Engine
+	jobs   *queue.Queue
+	sem    chan struct{}
+	// life is canceled by Close: the server-lifetime context every
+	// request's scheduling context is tied to.
+	life      context.Context
+	stop      context.CancelFunc
 	closeOnce sync.Once
 	start     time.Time
 	metrics   metrics
@@ -205,11 +208,11 @@ func New(cfg Config) *Server {
 		cfg.MaxBatchJobs = 10000
 	}
 	s := &Server{
-		cfg:    cfg,
-		sem:    make(chan struct{}, cfg.MaxInFlight),
-		closed: make(chan struct{}),
-		start:  time.Now(),
+		cfg:   cfg,
+		sem:   make(chan struct{}, cfg.MaxInFlight),
+		start: time.Now(),
 	}
+	s.life, s.stop = context.WithCancel(context.Background())
 	s.metrics.modelKinds = make([]atomic.Uint64, len(specKinds))
 	if cfg.CacheEntries >= 0 {
 		s.cache = cache.NewTiered(cfg.CacheEntries, cfg.CacheStore, cfg.DiskBreaker)
@@ -247,7 +250,7 @@ func New(cfg Config) *Server {
 // terminal state. Safe to call more than once.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		close(s.closed)
+		s.stop()
 		s.jobs.Close()
 	})
 }
@@ -265,14 +268,13 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
-	go func() {
-		select {
-		case <-s.closed:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
+	// Close cancels the request through the lifetime context; no
+	// goroutine waits on it per request.
+	unhook := context.AfterFunc(s.life, cancel)
+	return ctx, func() {
+		unhook()
+		cancel()
+	}
 }
 
 // Cache exposes the result cache (nil when disabled), mainly for tests
@@ -321,7 +323,7 @@ func (s *Server) acquire(r *http.Request) bool {
 	case <-r.Context().Done():
 		s.metrics.rejected.Add(1)
 		return false
-	case <-s.closed:
+	case <-s.life.Done():
 		s.metrics.rejected.Add(1)
 		return false
 	}
@@ -479,7 +481,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // draining reports whether Close has been called.
 func (s *Server) draining() bool {
 	select {
-	case <-s.closed:
+	case <-s.life.Done():
 		return true
 	default:
 		return false

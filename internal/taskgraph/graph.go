@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
+	"sync"
 )
 
 // DesignPoint is one implementation option for a task: the average current
@@ -89,7 +91,17 @@ type Graph struct {
 	preds [][]int     // predecessor indices per task index
 	succs [][]int     // successor indices per task index
 	topo  []int       // one valid topological order (indices)
-	reach [][]int     // reachable set (descendants incl. self), indices, sorted
+	// reach is the reachability closure (descendants including self):
+	// row i is words uint64s at reach[i*words:], bit u set iff dense
+	// index u is reachable from i.
+	reach []uint64
+	words int
+	// lists holds the same sets as sorted index slices, built on first
+	// use: only baselines and reference evaluators read them (the
+	// scheduler reads the bit rows), and for large graphs they are the
+	// bulk of the closure's memory.
+	listsOnce sync.Once
+	lists     [][]int
 }
 
 // Builder accumulates tasks and edges and produces a validated Graph.
@@ -186,7 +198,7 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, err
 	}
 	g.topo = topo
-	g.reach = reachability(n, g.succs, topo)
+	g.reach, g.words = reachability(n, g.succs, topo)
 	return g, nil
 }
 
@@ -245,31 +257,48 @@ func topoSort(n int, preds, succs [][]int) ([]int, error) {
 	return order, nil
 }
 
-// reachability computes, for every node, the sorted set of node indices
-// reachable from it (including itself), by sweeping a topological order in
-// reverse and merging successor sets.
-func reachability(n int, succs [][]int, topo []int) [][]int {
-	sets := make([]map[int]bool, n)
+// reachability computes, for every node, the set of node indices
+// reachable from it (including itself) as one dense bit matrix of
+// words uint64s per row, sweeping a topological order in reverse so
+// every successor's row is final before it is OR-ed in.
+func reachability(n int, succs [][]int, topo []int) (reach []uint64, words int) {
+	words = (n + 63) / 64
+	reach = make([]uint64, n*words)
 	for k := n - 1; k >= 0; k-- {
 		u := topo[k]
-		set := map[int]bool{u: true}
+		row := reach[u*words : (u+1)*words]
+		row[u/64] |= 1 << uint(u%64)
 		for _, v := range succs[u] {
-			for w := range sets[v] {
-				set[w] = true
+			for w, x := range reach[v*words : (v+1)*words] {
+				row[w] |= x
 			}
 		}
-		sets[u] = set
 	}
-	out := make([][]int, n)
-	for i := 0; i < n; i++ {
-		s := make([]int, 0, len(sets[i]))
-		for w := range sets[i] {
-			s = append(s, w)
+	return reach, words
+}
+
+// reachLists returns the reachable sets as sorted index slices, all
+// carved from one backing array.
+func (g *Graph) reachLists() [][]int {
+	g.listsOnce.Do(func() {
+		n := len(g.tasks)
+		total := 0
+		for _, x := range g.reach {
+			total += bits.OnesCount64(x)
 		}
-		sort.Ints(s)
-		out[i] = s
-	}
-	return out
+		backing := make([]int, 0, total)
+		g.lists = make([][]int, n)
+		for i := 0; i < n; i++ {
+			start := len(backing)
+			for w, x := range g.ReachableBits(i) {
+				for ; x != 0; x &= x - 1 {
+					backing = append(backing, w*64+bits.TrailingZeros64(x))
+				}
+			}
+			g.lists[i] = backing[start:len(backing):len(backing)]
+		}
+	})
+	return g.lists
 }
 
 // N returns the number of tasks.
@@ -454,13 +483,21 @@ func (g *Graph) Reachable(id int) []int {
 	if !ok {
 		return nil
 	}
-	return g.idsOf(g.reach[i])
+	return g.idsOf(g.reachLists()[i])
 }
 
 // ReachableIndices returns the dense indices reachable from dense index i
 // (including i), sorted. The returned slice aliases internal storage; do
 // not modify.
-func (g *Graph) ReachableIndices(i int) []int { return g.reach[i] }
+func (g *Graph) ReachableIndices(i int) []int { return g.reachLists()[i] }
+
+// ReachableBits returns the set ReachableIndices(i) lists as a bitset
+// over dense indices: bit u%64 of word u/64 is set iff u is reachable
+// from i. Every row has (N()+63)/64 words. The returned slice aliases
+// internal storage; do not modify.
+func (g *Graph) ReachableBits(i int) []uint64 {
+	return g.reach[i*g.words : (i+1)*g.words : (i+1)*g.words]
+}
 
 // Ancestors returns the IDs of all tasks from which id is reachable,
 // excluding id itself.
@@ -471,14 +508,8 @@ func (g *Graph) Ancestors(id int) []int {
 	}
 	var out []int
 	for j := range g.tasks {
-		if j == i {
-			continue
-		}
-		for _, r := range g.reach[j] {
-			if r == i {
-				out = append(out, g.tasks[j].ID)
-				break
-			}
+		if j != i && g.ReachableBits(j)[i/64]&(1<<uint(i%64)) != 0 {
+			out = append(out, g.tasks[j].ID)
 		}
 	}
 	sort.Ints(out)

@@ -2,6 +2,8 @@ package taskgraph
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -227,6 +229,52 @@ func TestReachableAndAncestors(t *testing.T) {
 	}
 	if got := g.Ancestors(1); len(got) != 0 {
 		t.Fatalf("Ancestors(1) = %v", got)
+	}
+}
+
+// TestReachabilityMatchesSearch checks the bit closure and the sorted
+// lists carved from it against a depth-first search from every node,
+// on random graphs spanning one to three 64-bit words per row.
+func TestReachabilityMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 5, 63, 64, 65, 130} {
+		g, err := Random(rng, n, 0.05, func(int) []DesignPoint { return []DesignPoint{pt(10, 1)} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			seen := make([]bool, n)
+			stack := []int{i}
+			seen[i] = true
+			for len(stack) > 0 {
+				u := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, v := range g.ChildIndices(u) {
+					if !seen[v] {
+						seen[v] = true
+						stack = append(stack, v)
+					}
+				}
+			}
+			var want []int
+			for u, ok := range seen {
+				if ok {
+					want = append(want, u)
+				}
+			}
+			if got := g.ReachableIndices(i); !slices.Equal(got, want) {
+				t.Fatalf("n=%d: ReachableIndices(%d) = %v, want %v", n, i, got, want)
+			}
+			row := g.ReachableBits(i)
+			if len(row) != (n+63)/64 {
+				t.Fatalf("n=%d: row %d has %d words", n, i, len(row))
+			}
+			for u := 0; u < n; u++ {
+				if row[u/64]&(1<<uint(u%64)) != 0 != seen[u] {
+					t.Fatalf("n=%d: ReachableBits(%d) bit %d disagrees with search", n, i, u)
+				}
+			}
+		}
 	}
 }
 

@@ -23,7 +23,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -237,6 +236,17 @@ const (
 	MaxRestartWorkers = 256
 )
 
+// MaxTasks and MaxPointsPerTask bound an inline graph. Decoding and
+// building a graph cost memory and time linear in its tasks and
+// points, and the closure the scheduler keeps is quadratic in tasks,
+// so without a ceiling one request body could buy gigabytes. The
+// bounds sit far above the paper's graphs (15 tasks, 5 points) and
+// every benchmarked size.
+const (
+	MaxTasks         = 10000
+	MaxPointsPerTask = 64
+)
+
 // MaxTimeoutMS bounds timeout_ms and ttl_ms at 24 hours. The conversion
 // to time.Duration multiplies by a million, so an unbounded field would
 // let a hostile value overflow int64 — wrapping to a near-zero budget
@@ -247,23 +257,6 @@ const MaxTimeoutMS = 24 * 60 * 60 * 1000
 // MaxPriority bounds the async queue priority field; priorities are
 // small ordinal levels, not an unbounded score.
 const MaxPriority = 9
-
-// DecodeJob strictly parses one JSON job: unknown fields and trailing
-// data after the object are rejected, so a concatenated or truncated
-// request cannot silently lose half its payload. Validation and graph
-// resolution happen once, in ToEngine.
-func DecodeJob(data []byte) (Job, error) {
-	var j Job
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&j); err != nil {
-		return j, err
-	}
-	if dec.More() {
-		return j, fmt.Errorf("job %s: trailing data after the job object", j.label())
-	}
-	return j, nil
-}
 
 // DecodeJobs reads an NDJSON job stream: one job per non-blank line,
 // decoded and resolved into engine jobs. Every non-blank line claims
@@ -345,6 +338,17 @@ func (j Job) Validate() error {
 		return fmt.Errorf("job %s: has both \"fixture\" and \"graph\"", j.label())
 	case j.Fixture == "" && j.Graph == nil:
 		return fmt.Errorf("job %s: needs a \"fixture\" or an inline \"graph\"", j.label())
+	}
+	if j.Graph != nil {
+		// Bounded here, before ToEngine builds anything from the spec.
+		if n := len(j.Graph.Tasks); n > MaxTasks {
+			return fmt.Errorf("job %s: \"graph\" must hold at most %d \"tasks\", got %d", j.label(), MaxTasks, n)
+		}
+		for _, t := range j.Graph.Tasks {
+			if m := len(t.Points); m > MaxPointsPerTask {
+				return fmt.Errorf("job %s: \"graph\" task %d must hold at most %d \"points\", got %d", j.label(), t.ID, MaxPointsPerTask, m)
+			}
+		}
 	}
 	if j.Battery != nil {
 		// The battery package owns the per-kind parameter rules; its

@@ -66,6 +66,10 @@ func TestDecodeJobRejectsBadInput(t *testing.T) {
 		{"battery kibam bad rate", `{"fixture":"g3","deadline":230,"battery":{"kind":"kibam","capacity":40000,"well_fraction":0.5,"rate_constant":-0.1}}`, "\"rate_constant\""},
 		{"battery foreign param", `{"fixture":"g3","deadline":230,"battery":{"kind":"ideal","beta":0.3}}`, "does not take parameter"},
 		{"battery and beta", `{"fixture":"g3","deadline":230,"beta":0.3,"battery":{"kind":"ideal"}}`, "both \"beta\" and \"battery\""},
+		{"points at cap", `{"graph":{"tasks":[{"id":1,"points":[` + points(MaxPointsPerTask) + `]}]},"deadline":5000}`, ""},
+		{"points over cap", `{"graph":{"tasks":[{"id":1,"points":[` + points(MaxPointsPerTask+1) + `]}]},"deadline":5000}`, "task 1 must hold at most 64 \"points\", got 65"},
+		{"tasks at cap", `{"graph":{"tasks":[` + tasks(MaxTasks) + `]},"deadline":1e9}`, ""},
+		{"tasks over cap", `{"graph":{"tasks":[` + tasks(MaxTasks+1) + `]},"deadline":1e9}`, "must hold at most 10000 \"tasks\", got 10001"},
 	} {
 		err := decodeAndResolve(tc.line)
 		overflowing := strings.Contains(tc.name, "overflowing")
@@ -85,6 +89,31 @@ func TestDecodeJobRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// points renders m design points with distinct times and falling
+// currents, comma-separated.
+func points(m int) string {
+	var b strings.Builder
+	for i := 0; i < m; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"current":%d,"time":%d}`, 1000-i, 1+i)
+	}
+	return b.String()
+}
+
+// tasks renders n one-point tasks with IDs 1..n, comma-separated.
+func tasks(n int) string {
+	var b strings.Builder
+	for i := 1; i <= n; i++ {
+		if i > 1 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"id":%d,"points":[{"current":10,"time":1}]}`, i)
+	}
+	return b.String()
 }
 
 // TestValidateCatchesNonFiniteProgrammatic covers NaN/Inf injected via
