@@ -376,45 +376,6 @@ func BenchmarkAnnealing(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelWindows compares the concurrent window evaluator
-// against the sequential default on a larger synthetic instance (the
-// results are identical; this measures the wall-clock effect only).
-func BenchmarkParallelWindows(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	factors := make([]float64, 8)
-	for j := range factors {
-		factors[j] = 1 - float64(j)/8*0.66
-	}
-	recipe := dvs.Recipe{Factors: factors, Rule: dvs.TimeReversedLinear}
-	points, err := recipe.PointsFunc(dvs.RandomRefs(rng, 40, 300, 900, 2, 8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := taskgraph.ForkJoin(4, 7, 11, points)
-	if err != nil {
-		b.Fatal(err)
-	}
-	deadline := g.MinTotalTime() + 0.6*(g.MaxTotalTime()-g.MinTotalTime())
-	for _, par := range []bool{false, true} {
-		name := "sequential"
-		if par {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := core.New(g, deadline, core.Options{Parallel: par})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMultiStart measures the 8-restart multi-start search on G3.
 func BenchmarkMultiStart(b *testing.B) {
 	g := taskgraph.G3()

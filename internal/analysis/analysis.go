@@ -173,8 +173,8 @@ func HasPackageDirective(files []*ast.File, name string) bool {
 
 // FuncDirectives returns the argument remainder of every doc-comment
 // line of fn that starts with //<name>: the marker //battsched:hotpath
-// yields one "" entry, //battlint:canonical core.Options -Parallel
-// yields "core.Options -Parallel". The second result carries each
+// yields one "" entry, //battlint:canonical core.Options -RecordTrace
+// yields "core.Options -RecordTrace". The second result carries each
 // directive's position for reporting.
 func FuncDirectives(fn *ast.FuncDecl, name string) (args []string, poss []token.Pos) {
 	if fn.Doc == nil {

@@ -23,7 +23,7 @@
 // function it (transitively) calls: a field counts as written when a
 // selector on a value of the target type reaches it. Fields that are
 // deliberately not part of the encoding — result-neutral knobs like
-// core.Options.Parallel — must be listed as -Field exclusions on the
+// core.Options.RecordTrace — must be listed as -Field exclusions on the
 // directive, which is the point: adding a field forces a conscious
 // decision at the encoder, never a silent default. A -Field entry that
 // names a missing field, or one the encoder does write, is itself

@@ -6,8 +6,7 @@ package battery
 // periods restore some of it).
 //
 // The schedulers may evaluate a model from several goroutines at once
-// (parallel window sweeps, concurrent multi-start restarts, batch
-// engine jobs), so implementations must be safe for concurrent
+// (concurrent multi-start restarts, batch engine jobs), so implementations must be safe for concurrent
 // ChargeLost calls; every model in this package is a stateless value.
 type Model interface {
 	// ChargeLost returns sigma(at): the apparent charge (mA·min) the

@@ -38,10 +38,9 @@ func TestKeyCanonical(t *testing.T) {
 	// Result-neutral fields must not change the key.
 	neutral := g3Job(230)
 	neutral.Name = "labelled"
-	neutral.Options.Parallel = true
 	neutral.MultiStart = core.MultiStartOptions{Restarts: 9, Seed: 3, Workers: 4} // ignored: strategy is iterative
 	if k, _ := Key(neutral); k != base {
-		t.Fatal("name/Parallel/MultiStart-for-iterative must be excluded from the key")
+		t.Fatal("name/MultiStart-for-iterative must be excluded from the key")
 	}
 
 	// Result-affecting fields must change it.

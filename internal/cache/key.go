@@ -40,8 +40,8 @@ const keyVersion = "battsched-cache-v3"
 // the same spec.
 //
 // Deliberately excluded because they are result-neutral: Job.Name (a
-// label), Options.Parallel and MultiStart.Workers (both documented
-// bit-identical to their sequential paths), Options.RecordTrace (the
+// label), MultiStart.Workers (documented bit-identical to the
+// sequential path), Options.RecordTrace (the
 // trace never reaches an engine.Result), MultiStart for non-multistart
 // strategies, and Job.Timeout (a completed result is identical under
 // any timeout, and a computation the timeout aborts is never stored —
@@ -66,7 +66,7 @@ const keyVersion = "battsched-cache-v3"
 // same-package view) and k.spec.
 //
 //battlint:canonical engine.Job -Name -Timeout
-//battlint:canonical core.Options -Beta -SeriesTerms -Battery -Model -RecordTrace -Parallel
+//battlint:canonical core.Options -Beta -SeriesTerms -Battery -Model -RecordTrace
 //battlint:canonical core.MultiStartOptions -Workers
 func Key(job engine.Job) (key string, ok bool) {
 	if job.Graph == nil {

@@ -105,10 +105,10 @@ func (s *Scheduler) totalTime(assign []int) float64 {
 // at their lowest-power points; the DPF computation escalates them
 // hypothetically to test deadline feasibility.
 //
-// The reference pass (refChooseDesignPoints) re-escalates from scratch for
-// every tagged design point, rescanning the full Energy Vector per
-// escalation step and re-deriving ENR/CIF over the whole sequence. This
-// pass exploits two structural facts instead:
+// The reference pass (refChooseDesignPoints in reference_test.go)
+// re-escalates from scratch for every tagged design point, rescanning the
+// full Energy Vector per escalation step and re-deriving ENR/CIF over the
+// whole sequence. This pass exploits two structural facts instead:
 //
 //  1. The escalation move sequence is candidate-independent. Free tasks
 //     escalate strictly in Energy Vector order, each from the lowest-power

@@ -64,7 +64,6 @@ func equivalenceVariants() map[string]Options {
 		"avg-energy-init": {InitialOrder: WeightAvgEnergy},
 		"no-dpf":          {Factors: AllFactors &^ FactorDPF},
 		"dpf-only":        {Factors: FactorDPF},
-		"parallel":        {Parallel: true},
 	}
 }
 

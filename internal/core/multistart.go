@@ -2,104 +2,16 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sync"
+
+	"repro/internal/sched"
 )
 
-// This file adds two engineering extensions around the paper's algorithm:
-// parallel window evaluation (the per-iteration windows are independent,
-// so a desktop host can fan them out across cores — the embedded target
-// the paper envisions would keep the sequential path) and multi-start
-// search over randomized initial sequences (the algorithm is greedy in
-// its first sequence; restarts recover some of the gap to heavier
-// searches at a controlled cost).
-
-// evaluateWindowsParallel is evaluateWindows with each window's backward
-// pass running in its own goroutine. Each window slot owns a runScratch of
-// its own (kept in scr.slots and reused across iterations), so the passes
-// share no mutable state. Results are identical to the sequential path
-// (windows are independent and the merge walks the slots in the sweep's
-// order with the same strict-improvement rule); only wall-clock changes.
-// A canceled ctx makes every window's pass bail out, so the wait below
-// stays short; the merged result is then meaningless and callers must
-// check ctx.
-func (s *Scheduler) evaluateWindowsParallel(ctx context.Context, L []int, scr *runScratch) (bestAssign []int, bestCost float64, windows []WindowTrace) {
-	start := s.m - 2
-	if start < 0 {
-		start = 0
-	}
-	for s.columnTime(start) > s.deadline+timeEps {
-		if start == 0 {
-			return nil, math.Inf(1), nil
-		}
-		start--
-	}
-	lo := 0
-	switch s.opt.Windows {
-	case WindowFirstFeasible:
-		lo = start
-	case WindowFullOnly:
-		start = 0
-	}
-	count := start - lo + 1
-	for len(scr.slots) < count {
-		scr.slots = append(scr.slots, s.newScratch())
-	}
-	if cap(scr.slotCost) < count {
-		scr.slotCost = make([]float64, count)
-		scr.slotOK = make([]bool, count)
-		scr.slotWT = make([]WindowTrace, count)
-	}
-	slotCost := scr.slotCost[:count]
-	slotOK := scr.slotOK[:count]
-	slotWT := scr.slotWT[:count]
-	var wg sync.WaitGroup
-	for k := 0; k < count; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			ws := start - k
-			sc := scr.slots[k]
-			assign, ok := s.chooseDesignPoints(ctx, L, ws, sc)
-			cost := math.Inf(1)
-			if ok {
-				cost = s.costOfInto(L, assign, sc.profile[:0])
-			}
-			slotOK[k] = ok
-			slotCost[k] = cost
-			if s.opt.RecordTrace {
-				wt := WindowTrace{WindowStart: ws + 1, Feasible: ok, Cost: cost}
-				if ok {
-					wt.Duration = s.totalTime(assign)
-					wt.Assignment = s.assignmentMap(assign)
-				}
-				slotWT[k] = wt
-			}
-		}(k)
-	}
-	wg.Wait()
-	// Deterministic merge: walk the slots in sweep order with the same
-	// strict-improvement rule as the sequential loop, then copy the
-	// winner into the parent scratch (slot buffers are reused next
-	// iteration).
-	bestCost = math.Inf(1)
-	bestSlot := -1
-	for k := 0; k < count; k++ {
-		if slotOK[k] && slotCost[k] < bestCost {
-			bestCost = slotCost[k]
-			bestSlot = k
-		}
-	}
-	if bestSlot >= 0 {
-		copy(scr.winAssign, scr.slots[bestSlot].assign)
-		bestAssign = scr.winAssign
-	}
-	if s.opt.RecordTrace {
-		windows = append(windows, slotWT...)
-	}
-	return bestAssign, bestCost, windows
-}
+// This file adds multi-start search over randomized initial sequences, an
+// engineering extension around the paper's algorithm: the algorithm is
+// greedy in its first sequence, and restarts recover some of the gap to
+// heavier searches at a controlled cost.
 
 // DefaultRestarts is the restart count used when
 // MultiStartOptions.Restarts is zero or negative.
@@ -222,27 +134,8 @@ func RunMultiStartContext(ctx context.Context, s *Scheduler, opts MultiStartOpti
 
 // runFromContext executes the iterative loop starting from an explicit
 // initial sequence (dense indices) instead of SequenceDecEnergy's, with
-// its own scratch arena, checking ctx between iterations and inside
-// window evaluation.
+// its own scratch arena and result storage. Restarts record no trace.
 func (s *Scheduler) runFromContext(ctx context.Context, initial []int) (*Result, error) {
-	if s.g.MinTotalTime() > s.deadline+timeEps {
-		return nil, ErrDeadlineInfeasible
-	}
 	scr := s.newScratch()
-	L := scr.seqA[:0]
-	L = append(L, initial...)
-	bestOrder, bestAssign, bestCost, iterations, err := s.runLoop(ctx, scr, L, nil)
-	if err != nil {
-		return nil, err
-	}
-	schedule := s.scheduleFrom(bestOrder, bestAssign)
-	p := schedule.Profile(s.g)
-	dur := p.TotalTime()
-	return &Result{
-		Schedule:   schedule,
-		Cost:       bestCost,
-		Duration:   dur,
-		Energy:     p.DeliveredCharge(dur),
-		Iterations: iterations,
-	}, nil
+	return s.run(ctx, scr, append(scr.seqA[:0], initial...), false, new(sched.Schedule), new(Result))
 }

@@ -7,44 +7,6 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// TestParallelMatchesSequential: the concurrent window evaluator must
-// produce bit-identical results to the sequential one.
-func TestParallelMatchesSequential(t *testing.T) {
-	for _, g := range []*taskgraph.Graph{taskgraph.G2(), taskgraph.G3()} {
-		deadline := g.MinTotalTime() + 0.7*(g.MaxTotalTime()-g.MinTotalTime())
-		seq := mustScheduler(t, g, deadline, Options{RecordTrace: true})
-		par := mustScheduler(t, g, deadline, Options{RecordTrace: true, Parallel: true})
-		rs, err := seq.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := par.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs.Cost != rp.Cost {
-			t.Fatalf("parallel cost %.6f != sequential %.6f", rp.Cost, rs.Cost)
-		}
-		if !seqEqual(rs.Schedule.Order, rp.Schedule.Order) {
-			t.Fatalf("parallel order %v != sequential %v", rp.Schedule.Order, rs.Schedule.Order)
-		}
-		if len(rs.Trace.Iterations) != len(rp.Trace.Iterations) {
-			t.Fatalf("iteration counts differ: %d vs %d", len(rs.Trace.Iterations), len(rp.Trace.Iterations))
-		}
-		for k := range rs.Trace.Iterations {
-			ws, wp := rs.Trace.Iterations[k].Windows, rp.Trace.Iterations[k].Windows
-			if len(ws) != len(wp) {
-				t.Fatalf("iteration %d window counts differ", k)
-			}
-			for j := range ws {
-				if ws[j].WindowStart != wp[j].WindowStart || ws[j].Cost != wp[j].Cost {
-					t.Fatalf("iteration %d window %d differs: %+v vs %+v", k, j, ws[j], wp[j])
-				}
-			}
-		}
-	}
-}
-
 // TestMultiStartNeverWorse: the deterministic run is included, so
 // multi-start can only match or improve it — and it must stay feasible.
 func TestMultiStartNeverWorse(t *testing.T) {

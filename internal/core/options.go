@@ -145,11 +145,6 @@ type Options struct {
 	// read (the paper is ambiguous for windows narrower than the full
 	// design space; see DESIGN.md §2).
 	DPFColumns DPFColumnRule
-	// Parallel evaluates the per-iteration windows concurrently. The
-	// result is identical to the sequential path; only wall-clock time
-	// changes (useful on desktop hosts for large graphs — the paper's
-	// embedded target would keep this off).
-	Parallel bool
 	// Approx enables the documented approximation mode: a non-negative
 	// epsilon that relaxes the backward pass's candidate bound-skip.
 	// With Approx = eps > 0, a candidate design point is skipped without

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/battery"
+	"repro/internal/sched"
 )
 
 // This file preserves the straightforward evaluators the scheduler shipped
@@ -18,9 +19,10 @@ import (
 // They are kept as the reference semantics of the algorithm: the
 // equivalence suite (equivalence_test.go) requires the optimized path to
 // produce bit-identical Results on every fixture and on seeded random
-// graphs. Nothing outside tests calls them. No build tag guards them — a
-// tag would let the two paths drift apart unnoticed on builds that never
-// set it.
+// graphs. Living in a _test.go file keeps them out of every shipped
+// binary while every `go test` run still compiles and exercises them —
+// unlike a build tag, which would let the two paths drift apart
+// unnoticed on builds that never set it.
 
 // refDPFScratch is the reference calculateDPF's reusable buffer pair.
 type refDPFScratch struct {
@@ -167,6 +169,11 @@ func (s *Scheduler) refRunFrom(ctx context.Context, initial []int) (*Result, err
 		Energy:     p.DeliveredCharge(dur),
 		Iterations: iterations,
 	}, nil
+}
+
+// scheduleFrom materializes a Schedule from dense-index order/assignment.
+func (s *Scheduler) scheduleFrom(order, assign []int) *sched.Schedule {
+	return &sched.Schedule{Order: s.idsOf(order), Assignment: s.assignmentMap(assign)}
 }
 
 // refEvaluateWindows is the naive window sweep: every window's assignment

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/taskgraph"
 )
@@ -103,50 +101,5 @@ func TestIdenticalTasks(t *testing.T) {
 		if id != k+1 {
 			t.Fatalf("tie-break order = %v", r1.Schedule.Order)
 		}
-	}
-}
-
-// TestRandomizedParallelEquivalence: quick-checks that the parallel and
-// sequential evaluators agree on random instances.
-func TestRandomizedParallelEquivalence(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(8) + 3
-		m := rng.Intn(3) + 2
-		points := func(i int) []taskgraph.DesignPoint {
-			base := rng.Float64()*500 + 50
-			tb := rng.Float64()*4 + 0.5
-			pts := make([]taskgraph.DesignPoint, m)
-			for j := 0; j < m; j++ {
-				f := 1 + 0.8*float64(j)
-				pts[j] = taskgraph.DesignPoint{Current: base / (f * f), Time: tb * f}
-			}
-			return pts
-		}
-		g, err := taskgraph.Random(rng, n, 0.3, points)
-		if err != nil {
-			return false
-		}
-		deadline := g.MinTotalTime() + rng.Float64()*(g.MaxTotalTime()-g.MinTotalTime())
-		a, err := New(g, deadline, Options{})
-		if err != nil {
-			return false
-		}
-		ra, err := a.Run()
-		if err != nil {
-			return false
-		}
-		b, err := New(g, deadline, Options{Parallel: true})
-		if err != nil {
-			return false
-		}
-		rb, err := b.Run()
-		if err != nil {
-			return false
-		}
-		return ra.Cost == rb.Cost && seqEqual(ra.Schedule.Order, rb.Schedule.Order)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -40,37 +40,5 @@ func (r *Runner) Run() (*Result, error) {
 // RunContext is Run with cooperative cancellation (see
 // Scheduler.RunContext for the semantics).
 func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
-	s := r.s
-	if s.g.MinTotalTime() > s.deadline+timeEps {
-		return nil, ErrDeadlineInfeasible
-	}
-	L := s.initialSequenceInto(r.scr, r.scr.seqA)
-	var trace *Trace
-	if s.opt.RecordTrace {
-		trace = &Trace{InitialSequence: s.idsOf(L)}
-	}
-	bestOrder, bestAssign, bestCost, iterations, err := s.runLoop(ctx, r.scr, L, trace)
-	if err != nil {
-		return nil, err
-	}
-	r.sched.Order = s.idsInto(bestOrder, r.sched.Order[:0])
-	if r.sched.Assignment == nil {
-		r.sched.Assignment = make(map[int]int, s.n)
-	}
-	for i := 0; i < s.n; i++ {
-		// The key set is the graph's task IDs on every run, so the
-		// map never rehashes after the first.
-		r.sched.Assignment[s.g.IDAt(i)] = bestAssign[i]
-	}
-	p := s.profileInto(bestOrder, bestAssign, r.scr.profile[:0])
-	dur := p.TotalTime()
-	r.res = Result{
-		Schedule:   &r.sched,
-		Cost:       bestCost,
-		Duration:   dur,
-		Energy:     p.DeliveredCharge(dur),
-		Iterations: iterations,
-		Trace:      trace,
-	}
-	return &r.res, nil
+	return r.s.run(ctx, r.scr, r.s.initialSequenceInto(r.scr, r.scr.seqA), true, &r.sched, &r.res)
 }

@@ -56,8 +56,8 @@ type Scheduler struct {
 	n, m int
 	// d and cur are the paper's D and I matrices indexed
 	// [taskIndex][column]: times ascending, currents non-increasing.
-	// The reference evaluators (reference.go, deliberately kept in the
-	// pre-optimization shape) and the cold paths read these; the hot
+	// The reference evaluators (reference_test.go, deliberately kept in
+	// the pre-optimization shape) and the cold paths read these; the hot
 	// path reads the flat mirrors below.
 	d, cur [][]float64
 	// df, cf and ef are the same matrices flattened row-major
@@ -144,9 +144,9 @@ func validDeadline(deadline float64) error {
 // model resolution (a calibrated spec runs a whole beta-fit here),
 // matrix flattening, the Energy Vector sort, reachability bitsets,
 // candidate dominance pruning and the lower-bound slack analysis.
-// Deadline sweeps (SweepRunner, the engine's batch grouping) build one
-// base and mint per-deadline Schedulers from it with Scheduler — each
-// mint is a shallow copy, so the per-deadline cost collapses to O(1).
+// Deadline sweeps (SweepRunner) build one base and mint per-deadline
+// Schedulers from it with Scheduler — each mint is a shallow copy, so
+// the per-deadline cost collapses to O(1).
 func NewBase(g *taskgraph.Graph, opt Options) (*SchedulerBase, error) {
 	if g == nil {
 		return nil, errors.New("core: nil graph")
@@ -325,37 +325,60 @@ func (s *Scheduler) Run() (*Result, error) {
 // partial result — a run that completes is bit-identical to one executed
 // without a context.
 func (s *Scheduler) RunContext(ctx context.Context) (*Result, error) {
+	scr := s.newScratch()
+	return s.run(ctx, scr, s.initialSequenceInto(scr, scr.seqA), true, new(sched.Schedule), new(Result))
+}
+
+// run is the one run path behind every entry point (RunContext, Runner,
+// SweepRunner, the multi-start restarts): the infeasibility check, trace
+// setup, the improvement loop from the initial sequence L, and the
+// materialization of the best order and assignment into the caller's
+// sch and res, which it returns. L must alias scr.seqA. sch's order
+// slice and assignment map are reused when present, so a caller passing
+// the same storage every run allocates nothing in steady state. traced
+// false drops the RecordTrace history (multi-start restarts keep none).
+func (s *Scheduler) run(ctx context.Context, scr *runScratch, L []int, traced bool, sch *sched.Schedule, res *Result) (*Result, error) {
 	if s.g.MinTotalTime() > s.deadline+timeEps {
 		return nil, ErrDeadlineInfeasible
 	}
-	scr := s.newScratch()
-	L := s.initialSequenceInto(scr, scr.seqA)
 	var trace *Trace
-	if s.opt.RecordTrace {
+	if traced && s.opt.RecordTrace {
 		trace = &Trace{InitialSequence: s.idsOf(L)}
 	}
 	bestOrder, bestAssign, bestCost, iterations, err := s.runLoop(ctx, scr, L, trace)
 	if err != nil {
 		return nil, err
 	}
-	schedule := s.scheduleFrom(bestOrder, bestAssign)
-	p := schedule.Profile(s.g)
+	if sch.Order == nil {
+		sch.Order = make([]int, 0, s.n)
+	}
+	sch.Order = s.idsInto(bestOrder, sch.Order[:0])
+	if sch.Assignment == nil {
+		sch.Assignment = make(map[int]int, s.n)
+	}
+	for i := 0; i < s.n; i++ {
+		// The key set is the graph's task IDs on every run, so a
+		// reused map never rehashes.
+		sch.Assignment[s.g.IDAt(i)] = bestAssign[i]
+	}
+	p := s.profileInto(bestOrder, bestAssign, scr.profile[:0])
 	dur := p.TotalTime()
-	return &Result{
-		Schedule:   schedule,
+	*res = Result{
+		Schedule:   sch,
 		Cost:       bestCost,
 		Duration:   dur,
 		Energy:     p.DeliveredCharge(dur),
 		Iterations: iterations,
 		Trace:      trace,
-	}, nil
+	}
+	return res, nil
 }
 
-// runLoop is the paper's outer improvement loop, shared by every entry
-// point (RunContext, runFromContext, Runner): evaluate the window sweep
-// for the current sequence, fall back to the always-feasible all-fastest
-// assignment if no window was feasible, resequence by Equation 4, keep the
-// best, and stop at the first non-improving iteration.
+// runLoop is the paper's outer improvement loop, called by run: evaluate
+// the window sweep for the current sequence, fall back to the
+// always-feasible all-fastest assignment if no window was feasible,
+// resequence by Equation 4, keep the best, and stop at the first
+// non-improving iteration.
 //
 // L must alias scr.seqA (or be a slice written into it); trace is nil
 // unless the caller wants per-iteration history. The returned order and
@@ -368,7 +391,7 @@ func (s *Scheduler) runLoop(ctx context.Context, scr *runScratch, L []int, trace
 
 	for iter := 0; iter < s.opt.MaxIterations; iter++ {
 		iterations++
-		wAssign, wCost, windows := s.windows(ctx, cur, scr)
+		wAssign, wCost, windows := s.evaluateWindows(ctx, cur, scr)
 		if err = ctx.Err(); err != nil {
 			return nil, nil, 0, 0, err
 		}
@@ -636,21 +659,6 @@ func (s *Scheduler) CostOf(order []int, assignment map[int]int) (float64, error)
 		L[k] = i
 	}
 	return s.costOf(L, assign), nil
-}
-
-// scheduleFrom materializes a Schedule from dense-index order/assignment.
-func (s *Scheduler) scheduleFrom(order, assign []int) *sched.Schedule {
-	return &sched.Schedule{Order: s.idsOf(order), Assignment: s.assignmentMap(assign)}
-}
-
-// windows dispatches to the sequential or parallel window evaluator.
-// A canceled ctx makes it return early with whatever it has; callers
-// must check ctx before trusting the result.
-func (s *Scheduler) windows(ctx context.Context, L []int, scr *runScratch) ([]int, float64, []WindowTrace) {
-	if s.opt.Parallel {
-		return s.evaluateWindowsParallel(ctx, L, scr)
-	}
-	return s.evaluateWindows(ctx, L, scr)
 }
 
 func (s *Scheduler) idsOf(L []int) []int {

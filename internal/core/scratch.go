@@ -5,9 +5,9 @@ import (
 )
 
 // runScratch is the per-run arena behind the scheduler's hot path. One is
-// created per RunContext / runFromContext call (and one per worker in the
-// parallel window and multi-start fan-outs), so a Scheduler stays immutable
-// and safe for concurrent runs while the inner loops never allocate.
+// created per RunContext / runFromContext call (so one per restart in the
+// multi-start fan-out), so a Scheduler stays immutable and safe for
+// concurrent runs while the inner loops never allocate.
 //
 // The buffers fall into four groups, mirroring the call tree:
 //
@@ -21,8 +21,7 @@ import (
 //     the ready max-heap, plus double-buffered sequence storage;
 //   - cost evaluation: one reusable battery profile.
 //
-// A scratch is single-goroutine state; the parallel window sweep keeps one
-// per window slot (slots), lazily built and reused across iterations.
+// A scratch is single-goroutine state.
 type runScratch struct {
 	// backward pass
 	assign  []int // per-task column: free tasks at m-1, fixed tasks at chosen
@@ -99,12 +98,6 @@ type runScratch struct {
 
 	// cost evaluation
 	profile battery.Profile
-
-	// parallel window sweep (lazily sized to the sweep width)
-	slots    []*runScratch
-	slotCost []float64
-	slotOK   []bool
-	slotWT   []WindowTrace
 }
 
 // newScratch builds an arena sized for the scheduler's n tasks and m design

@@ -69,34 +69,5 @@ func (sr *SweepRunner) RunContext(ctx context.Context, deadline float64) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	if s.g.MinTotalTime() > s.deadline+timeEps {
-		return nil, ErrDeadlineInfeasible
-	}
-	L := append(sr.scr.seqA[:0], sr.initSeq...)
-	var trace *Trace
-	if s.opt.RecordTrace {
-		trace = &Trace{InitialSequence: s.idsOf(L)}
-	}
-	bestOrder, bestAssign, bestCost, iterations, err := s.runLoop(ctx, sr.scr, L, trace)
-	if err != nil {
-		return nil, err
-	}
-	sr.sched.Order = s.idsInto(bestOrder, sr.sched.Order[:0])
-	if sr.sched.Assignment == nil {
-		sr.sched.Assignment = make(map[int]int, s.n)
-	}
-	for i := 0; i < s.n; i++ {
-		sr.sched.Assignment[s.g.IDAt(i)] = bestAssign[i]
-	}
-	p := s.profileInto(bestOrder, bestAssign, sr.scr.profile[:0])
-	dur := p.TotalTime()
-	sr.res = Result{
-		Schedule:   &sr.sched,
-		Cost:       bestCost,
-		Duration:   dur,
-		Energy:     p.DeliveredCharge(dur),
-		Iterations: iterations,
-		Trace:      trace,
-	}
-	return &sr.res, nil
+	return s.run(ctx, sr.scr, append(sr.scr.seqA[:0], sr.initSeq...), true, &sr.sched, &sr.res)
 }

@@ -163,9 +163,8 @@ func (e *Engine) RunBatchContext(ctx context.Context, jobs []Job) []Result {
 		// ErrCanceled instead of a zero value.
 		results[i] = Result{Index: i, Name: jobs[i].Name, Err: ErrCanceled}
 	}
-	bases := newBaseCache()
 	e.RunEachContext(ctx, len(jobs), func(i, restartWorkers int) {
-		results[i] = e.runJob(ctx, i, jobs[i], restartWorkers, bases)
+		results[i] = e.runJob(ctx, i, jobs[i], restartWorkers)
 	})
 	return results
 }
@@ -231,7 +230,7 @@ dispatch:
 // misbehaving custom battery model cannot take the batch down, and
 // context errors into ErrCanceled so front ends report cancellation
 // distinctly from scheduling failures.
-func (e *Engine) runJob(ctx context.Context, i int, job Job, restartWorkers int, bases *baseCache) (res Result) {
+func (e *Engine) runJob(ctx context.Context, i int, job Job, restartWorkers int) (res Result) {
 	res = Result{Index: i, Name: job.Name}
 	defer func() {
 		if r := recover(); r != nil {
@@ -259,7 +258,7 @@ func (e *Engine) runJob(ctx context.Context, i int, job Job, restartWorkers int,
 		res.Err = ErrNilGraph
 		return res
 	}
-	res.Err = e.execute(ctx, strategy, job, &res, restartWorkers, bases)
+	res.Err = e.execute(ctx, strategy, job, &res, restartWorkers)
 	if res.Err != nil {
 		if isContextErr(res.Err) {
 			res.Err = CanceledError(res.Err)

@@ -78,18 +78,10 @@ func CanonicalStrategy(name string) (string, error) {
 // strategies mid-search; the closed-form baselines run to completion
 // (they are polynomial passes, orders of magnitude below one iterative
 // window sweep) after an up-front ctx check.
-func (e *Engine) execute(ctx context.Context, strategy string, job Job, res *Result, restartWorkers int, bases *baseCache) error {
+func (e *Engine) execute(ctx context.Context, strategy string, job Job, res *Result, restartWorkers int) error {
 	switch strategy {
 	case StrategyIterative, StrategyMultiStart, StrategyWithIdle:
-		// Batches routinely sweep one graph across many deadlines; the
-		// deadline-independent construction is shared through the batch's
-		// base cache, and the per-deadline mint below is O(1). The minted
-		// scheduler is bit-identical to core.New's.
-		base, err := bases.get(job.Graph, job.Options)
-		if err != nil {
-			return err
-		}
-		s, err := base.Scheduler(job.Deadline)
+		s, err := core.New(job.Graph, job.Deadline, job.Options)
 		if err != nil {
 			return err
 		}

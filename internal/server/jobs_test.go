@@ -546,7 +546,8 @@ func TestJobStreamSSE(t *testing.T) {
 func TestJobSubmitCoalesces(t *testing.T) {
 	s, ts := newJobsServer(t, Config{Workers: 1, QueueWorkers: 1})
 
-	if _, resp := submitJob(t, ts.URL, slowJob(400)); resp.StatusCode != http.StatusAccepted {
+	occupier, resp := submitJob(t, ts.URL, slowJob(400))
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("occupier: status %d", resp.StatusCode)
 	}
 	first, resp1 := submitJob(t, ts.URL, slowJob(401))
@@ -562,6 +563,18 @@ func TestJobSubmitCoalesces(t *testing.T) {
 	}
 	if st := s.Metrics().JobsAsync; st.Coalesced != 1 {
 		t.Fatalf("coalesced = %d, want 1", st.Coalesced)
+	}
+	// The occupier only had to hold the queue worker while the duplicate
+	// coalesced; abort it so the poll below waits for one slow job, not
+	// two back to back (under -race each takes most of the poll budget).
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+occupier.ID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusOK {
+		t.Fatalf("abort occupier: status %d", dresp.StatusCode)
 	}
 
 	final := pollUntil(t, ts.URL, first.ID, terminal)
