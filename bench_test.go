@@ -180,17 +180,7 @@ func BenchmarkBatteryLifetime(b *testing.B) {
 func BenchmarkScalingTasks(b *testing.B) {
 	for _, n := range []int{10, 20, 40, 80, 160, 320, 640, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			recipe := dvs.Recipe{Factors: dvs.G3Factors, Rule: dvs.TimeReversedLinear, Round: 1}
-			points, err := recipe.PointsFunc(dvs.RandomRefs(rng, n, 300, 900, 2, 8))
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, err := taskgraph.ForkJoin(4, (n-6)/4, 5, points)
-			if err != nil {
-				b.Fatal(err)
-			}
-			deadline := g.MinTotalTime() + 0.6*(g.MaxTotalTime()-g.MinTotalTime())
+			g, deadline := scalingGraph(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -203,6 +193,50 @@ func BenchmarkScalingTasks(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// scalingGraph builds BenchmarkScalingTasks' n-task fork-join graph and
+// its deadline, 60% of the way from the fastest to the slowest
+// schedule.
+func scalingGraph(b *testing.B, n int) (*taskgraph.Graph, float64) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	recipe := dvs.Recipe{Factors: dvs.G3Factors, Rule: dvs.TimeReversedLinear, Round: 1}
+	points, err := recipe.PointsFunc(dvs.RandomRefs(rng, n, 300, 900, 2, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := taskgraph.ForkJoin(4, (n-6)/4, 5, points)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, g.MinTotalTime() + 0.6*(g.MaxTotalTime()-g.MinTotalTime())
+}
+
+// BenchmarkApprox prices Options.Approx, the approximation mode: the
+// scaling graphs at n >= 320 under exact mode (eps=0) and two
+// tolerances. It reports the schedule's battery cost as "sigma", so
+// the time saved can be read next to the cost given up.
+func BenchmarkApprox(b *testing.B) {
+	for _, n := range []int{320, 1000} {
+		g, deadline := scalingGraph(b, n)
+		for _, eps := range []float64{0, 0.5, 2} {
+			b.Run(fmt.Sprintf("n=%d/eps=%g", n, eps), func(b *testing.B) {
+				var res *core.Result
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, err := core.New(g, deadline, core.Options{Approx: eps})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res, err = s.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(res.Cost, "sigma")
+			})
+		}
 	}
 }
 

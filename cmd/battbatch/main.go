@@ -68,19 +68,16 @@ import (
 // "battery" object, no "beta"). It returns the number of failed jobs
 // (canceled ones included).
 func run(ctx context.Context, r io.Reader, w io.Writer, workers, cacheEntries int, defaultBattery *battery.Spec) (failed int, err error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return 0, fmt.Errorf("reading jobs: %w", err)
+	}
 	// One output slot per non-blank input line; a line that fails to
 	// decode keeps its slot and reports its own error (see
 	// wire.DecodeJobs).
-	jobs, names, parseErrs, err := wire.DecodeJobs(r)
-	if err != nil {
-		return 0, err
-	}
-	if defaultBattery != nil {
-		for i := range jobs {
-			if parseErrs[i] == nil && jobs[i].Options.Battery == nil && jobs[i].Options.Beta == 0 {
-				jobs[i].Options.Battery = defaultBattery
-			}
-		}
+	wjobs, jobs, parseErrs := wire.DecodeJobs(body)
+	for i := range jobs {
+		wire.ApplyDefaultBattery(&jobs[i], defaultBattery)
 	}
 
 	ce := cache.Engine{Workers: workers}
@@ -89,7 +86,7 @@ func run(ctx context.Context, r io.Reader, w io.Writer, workers, cacheEntries in
 	}
 	results, _ := ce.RunBatchContext(ctx, jobs)
 	enc := json.NewEncoder(w)
-	for i, out := range wire.Results(results, names, parseErrs) {
+	for i, out := range wire.Results(wjobs, results, parseErrs) {
 		if out.Error != "" {
 			failed++
 		}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	battschedd [-addr :8347] [-workers 0] [-max-inflight 0] [-cache 1024] [-timeout 0] [-battery spec] [-quiet]
+//	battschedd [-addr :8347] [-workers 0] [-cache 1024] [-timeout 0] [-battery spec] [-quiet]
 //	           [-cache-dir ""] [-cache-disk-max-bytes 1073741824]
 //	           [-disk-breaker-threshold 0] [-disk-breaker-window 0] [-disk-breaker-probe 0]
 //	           [-queue 0] [-queue-workers 0] [-job-ttl 0] [-job-retention 0]
@@ -18,6 +18,11 @@
 //	curl -sN localhost:8347/v1/jobs/<id>/stream
 //	curl -s localhost:8347/v1/fixtures
 //	curl -s localhost:8347/metrics
+//
+// `-workers` is the daemon's one bound on scheduling computation: every
+// job, sync or async, takes a slot of a shared compute gate before it
+// runs (cache hits skip it), and a lone batch fans out over all of
+// them.
 //
 // The async endpoints (POST /v1/jobs and friends) queue work behind an
 // admission-controlled priority queue instead of holding the connection
@@ -61,9 +66,10 @@
 // its in-flight batch instead of leaving the server to compute an
 // answer nobody will read. `-timeout` bounds every request's scheduling
 // time server-side (clients can bound individual jobs with the
-// timeout_ms wire field). On SIGINT or SIGTERM the daemon cancels
-// running batches — their unfinished jobs return the "canceled" code —
-// and exits once the (now fast) drain completes.
+// timeout_ms wire field). On SIGINT or SIGTERM the daemon answers new
+// requests with 503 + Retry-After, cancels running batches — their
+// unfinished jobs return the "canceled" code — and exits once the (now
+// fast) drain completes.
 package main
 
 import (
@@ -91,15 +97,14 @@ const shutdownGrace = 10 * time.Second
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8347", "listen address")
-		workers     = flag.Int("workers", 0, "concurrent scheduling jobs per request (0 = GOMAXPROCS)")
-		maxInflight = flag.Int("max-inflight", 0, "concurrent scheduling requests (0 = 2*GOMAXPROCS)")
-		cacheSize   = flag.Int("cache", 1024, "result cache entries (0 disables caching)")
-		cacheDir    = flag.String("cache-dir", "", "directory for the disk-backed result store (empty = memory-only cache)")
-		cacheDisk   = flag.Int64("cache-disk-max-bytes", store.DefaultMaxBytes, "disk store byte budget, oldest entries evicted first (<0 = unbounded)")
-		timeout     = flag.Duration("timeout", 0, "per-request scheduling time budget, e.g. 30s (0 = unbounded)")
-		batt        = flag.String("battery", "", "default battery spec for jobs without one, e.g. kibam,capacity=40000,c=0.5,rate=0.1")
-		quiet       = flag.Bool("quiet", false, "suppress per-request access logs")
+		addr      = flag.String("addr", ":8347", "listen address")
+		workers   = flag.Int("workers", 0, "concurrent scheduling computations, daemon-wide and per request (0 = GOMAXPROCS)")
+		cacheSize = flag.Int("cache", 1024, "result cache entries (0 disables caching)")
+		cacheDir  = flag.String("cache-dir", "", "directory for the disk-backed result store (empty = memory-only cache)")
+		cacheDisk = flag.Int64("cache-disk-max-bytes", store.DefaultMaxBytes, "disk store byte budget, oldest entries evicted first (<0 = unbounded)")
+		timeout   = flag.Duration("timeout", 0, "per-request scheduling time budget, e.g. 30s (0 = unbounded)")
+		batt      = flag.String("battery", "", "default battery spec for jobs without one, e.g. kibam,capacity=40000,c=0.5,rate=0.1")
+		quiet     = flag.Bool("quiet", false, "suppress per-request access logs")
 
 		maxQueued    = flag.Int("queue", 0, "async job queue capacity; full submits get 429 (0 = 4096)")
 		queueWorkers = flag.Int("queue-workers", 0, "concurrently executing async jobs (0 = 2*GOMAXPROCS)")
@@ -122,8 +127,7 @@ func main() {
 		defaultBattery = &spec
 	}
 	cfg := server.Config{
-		Workers:     *workers,
-		MaxInFlight: *maxInflight,
+		Workers: *workers,
 		// The flag follows battbatch's convention (0 = caching off);
 		// Config uses 0 = default, negative = off.
 		CacheEntries:   *cacheSize,
@@ -175,10 +179,10 @@ func main() {
 
 // serve runs the HTTP server on l until it fails or ctx is cancelled,
 // then drains for up to shutdownGrace. The drain is fast by
-// construction: s.Close fails requests still queued for capacity with
-// an immediate 503 and cancels in-flight scheduling work, so running
-// batches return promptly with their unfinished jobs marked canceled
-// instead of computing to the end. It returns nil on a clean shutdown.
+// construction: s.Close answers every new request with 503 +
+// Retry-After and cancels in-flight scheduling work, so running batches
+// return promptly with their unfinished jobs marked canceled instead of
+// computing to the end. It returns nil on a clean shutdown.
 func serve(ctx context.Context, l net.Listener, s *server.Server, logger *log.Logger) error {
 	srv := &http.Server{
 		Handler:           s.Handler(),

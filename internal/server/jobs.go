@@ -24,7 +24,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -58,9 +57,7 @@ func (s *Server) submitJob(job wire.Job, ejob engine.Job) (queue.Snapshot, int, 
 		TTL:      time.Duration(job.TTLMS) * time.Millisecond,
 		Run: func(ctx context.Context) engine.Result {
 			res, _ := s.engine.RunContext(ctx, ejob)
-			s.metrics.jobs.Add(1)
-			s.metrics.countModelKind(ejob)
-			s.metrics.canceled.Add(countCanceled(res))
+			s.metrics.served(ejob, res)
 			return res
 		},
 	})
@@ -70,8 +67,7 @@ func (s *Server) submitJob(job wire.Job, ejob engine.Job) (queue.Snapshot, int, 
 		return queue.Snapshot{}, http.StatusTooManyRequests,
 			fmt.Errorf("server: job queue full (max %d waiting); retry later", s.queueCapacity())
 	case errors.Is(err, queue.ErrClosed):
-		return queue.Snapshot{}, http.StatusServiceUnavailable,
-			errors.New("server: shutting down; job not accepted")
+		return queue.Snapshot{}, http.StatusServiceUnavailable, errDraining
 	case err != nil:
 		return queue.Snapshot{}, http.StatusInternalServerError, err
 	}
@@ -134,22 +130,10 @@ func terminalResult(snap queue.Snapshot, index int, name string) wire.Result {
 // immediately, 429 + Retry-After when admission control refuses.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobsAPI.Add(1)
-	body, err := s.readBody(w, r)
-	if err != nil {
-		s.writeError(w, bodyErrorStatus(err), err)
+	job, ejob, ok := s.decodeJob(w, r)
+	if !ok {
 		return
 	}
-	job, err := wire.DecodeJob(body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ejob, err := job.ToEngine()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.applyDefaultBattery(&ejob)
 	snap, status, err := s.submitJob(job, ejob)
 	if err != nil {
 		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
@@ -225,24 +209,13 @@ type batchSlot struct {
 	snap     queue.Snapshot
 }
 
-// decodeJobsBatch reads and admits an NDJSON jobs body, returning one
-// slot per line. Admission rejections are per-line (the rest of the
-// batch is unaffected) and counted in rejected_queue; if any line was
-// rejected for capacity the caller should advertise Retry-After.
-func (s *Server) decodeJobsBatch(w http.ResponseWriter, r *http.Request) ([]batchSlot, bool) {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		s.writeError(w, bodyErrorStatus(err), err)
-		return nil, false
-	}
-	wjobs, ejobs, parseErrs, err := wire.DecodeJobsFull(bytes.NewReader(body))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	if len(wjobs) > s.cfg.MaxBatchJobs {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch has %d jobs, limit is %d", len(wjobs), s.cfg.MaxBatchJobs))
+// submitBatch reads and admits an NDJSON jobs body, returning one slot
+// per line. Admission rejections are per-line (the rest of the batch is
+// unaffected) and counted in rejected_queue; if any line was rejected
+// as transient, the response advertises Retry-After.
+func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) ([]batchSlot, bool) {
+	wjobs, ejobs, parseErrs, ok := s.decodeBatch(w, r)
+	if !ok {
 		return nil, false
 	}
 	slots := make([]batchSlot, len(wjobs))
@@ -253,7 +226,6 @@ func (s *Server) decodeJobsBatch(w http.ResponseWriter, r *http.Request) ([]batc
 			slots[i].err = parseErrs[i]
 			continue
 		}
-		s.applyDefaultBattery(&ejobs[i])
 		snap, status, serr := s.submitJob(wjobs[i], ejobs[i])
 		if serr != nil {
 			slots[i].err = serr
@@ -282,7 +254,7 @@ func (s *Server) decodeJobsBatch(w http.ResponseWriter, r *http.Request) ([]batc
 // the /v1/batch contract.
 func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobsAPI.Add(1)
-	slots, ok := s.decodeJobsBatch(w, r)
+	slots, ok := s.submitBatch(w, r)
 	if !ok {
 		return
 	}
@@ -307,7 +279,7 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 // the sync POST /v1/batch lines for the same jobs.
 func (s *Server) handleJobsBatchStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobsAPI.Add(1)
-	slots, ok := s.decodeJobsBatch(w, r)
+	slots, ok := s.submitBatch(w, r)
 	if !ok {
 		return
 	}

@@ -321,13 +321,12 @@ func TestJobQueueFullRejectsWithRetryAfter(t *testing.T) {
 	}
 }
 
-// TestDrainRejectionHasRetryAfter is the satellite bugfix pin: the
-// in-flight limiter's 503 carries a Retry-After header so clients know
-// to back off and come back, and counts in `rejected` (never in
-// `rejected_queue`, which is the async queue's).
+// TestDrainRejectionHasRetryAfter: a sync request to a draining server
+// gets a 503 carrying a Retry-After header so clients know to back off
+// and come back, counted in `rejected` (never in `rejected_queue`,
+// which is the async queue's).
 func TestDrainRejectionHasRetryAfter(t *testing.T) {
-	s := New(Config{MaxInFlight: 1, RetryAfter: 3})
-	s.sem <- struct{}{} // saturate: the next request must queue for capacity
+	s := New(Config{RetryAfter: 3})
 	s.Close()
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/schedule",

@@ -1,9 +1,9 @@
 // Package server turns the scheduling library into an HTTP service: the
 // request-handling layer behind cmd/battschedd. It decodes and validates
-// wire.Job requests, bounds how many scheduling computations run at
-// once, executes them through the cache-backed engine (repeat requests
-// answer from memory, identical concurrent requests compute once) and
-// encodes wire.Result responses.
+// wire.Job requests, executes them through the cache-backed engine —
+// whose one gate bounds how many scheduling computations run at once;
+// repeat requests answer from memory, identical concurrent requests
+// compute once — and encodes wire.Result responses.
 //
 // Endpoints (full wire schemas and curl examples in docs/API.md):
 //
@@ -15,7 +15,7 @@
 //
 // Everything on the hot path is deterministic, so the service inherits
 // the engine's guarantee: a batch's result bytes do not depend on the
-// worker count, the concurrency limit or the cache state.
+// worker count or the cache state.
 //
 // Scheduling work is request-scoped: each handler passes its request's
 // context down through the cached engine into the per-window search, so
@@ -28,7 +28,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -52,16 +51,13 @@ import (
 )
 
 // Config sizes a Server. The zero value is production-usable: GOMAXPROCS
-// workers, 2×GOMAXPROCS in-flight requests, a cache.DefaultMaxEntries
-// LRU and a 16 MB body limit.
+// workers, a cache.DefaultMaxEntries LRU and a 16 MB body limit.
 type Config struct {
-	// Workers bounds concurrent scheduling jobs inside one request
-	// (batch fan-out); 0 means GOMAXPROCS(0).
+	// Workers bounds concurrent scheduling computations, both inside one
+	// request (batch fan-out) and across the whole server (the compute
+	// gate every sync and async job takes; cache hits skip it); 0 means
+	// GOMAXPROCS(0).
 	Workers int
-	// MaxInFlight bounds how many requests may run scheduling work
-	// concurrently; excess requests wait (or fail with 503 once their
-	// context is done). 0 means 2×GOMAXPROCS(0).
-	MaxInFlight int
 	// CacheEntries bounds the result LRU; 0 means
 	// cache.DefaultMaxEntries, negative disables caching.
 	CacheEntries int
@@ -102,7 +98,7 @@ type Config struct {
 	// before it is pruned; 0 means queue.DefaultRetention.
 	JobRetention time.Duration
 	// RetryAfter is the Retry-After hint (in seconds) sent with 429
-	// queue-full and 503 capacity rejections; 0 means 1 second.
+	// queue-full and 503 draining rejections; 0 means 1 second.
 	RetryAfter int
 	// DiskBreaker tunes the disk tier's circuit breaker (cmd/battschedd's
 	// -disk-breaker-* flags): when the store returns Threshold errors
@@ -125,14 +121,14 @@ type Config struct {
 }
 
 // Server holds the handlers' shared state; create it with New and mount
-// Handler on an http.Server. Call Close when draining so requests
-// queued for capacity fail fast instead of stalling the shutdown.
+// Handler on an http.Server. Call Close when draining so new work is
+// refused and running work is canceled instead of stalling the
+// shutdown.
 type Server struct {
 	cfg    Config
 	cache  *cache.Cache // nil when caching is disabled
 	engine cache.Engine
 	jobs   *queue.Queue
-	sem    chan struct{}
 	// life is canceled by Close: the server-lifetime context every
 	// request's scheduling context is tied to.
 	life      context.Context
@@ -153,15 +149,15 @@ type metrics struct {
 	metrics  atomic.Uint64 // GET /metrics requests
 	jobsAPI  atomic.Uint64 // /v1/jobs* async-API requests, all verbs
 	errors   atomic.Uint64 // responses with status >= 400
-	rejected atomic.Uint64 // 503s from the in-flight limiter
+	rejected atomic.Uint64 // sync requests refused with 503 while draining
 	// rejectedQueue counts 429s (and per-line rejections) from the
 	// async queue's admission control — deliberately distinct from
-	// rejected: a full queue is backpressure, a drained/canceled slot
-	// wait is a lifecycle event.
+	// rejected: a full queue is backpressure, a drain is a lifecycle
+	// event.
 	rejectedQueue atomic.Uint64
 	jobs          atomic.Uint64 // scheduling jobs executed or served from cache
 	canceled      atomic.Uint64 // jobs cut short: disconnect, shutdown or timeout
-	inFlight      atomic.Int64  // requests currently holding an in-flight slot
+	inFlight      atomic.Int64  // sync requests currently running scheduling work
 	// modelKinds counts served jobs per battery-model kind (the
 	// /metrics "model_kinds" object), indexed parallel to specKinds
 	// and sized from it in New, so a future kind cannot overflow it.
@@ -174,8 +170,13 @@ type metrics struct {
 // sparing a battery.Kinds() allocation per served job).
 var specKinds = battery.Kinds()
 
-// countModelKind attributes one served job to its battery-model kind.
-func (m *metrics) countModelKind(job engine.Job) {
+// served counts one job the engine answered, sync or async: the job
+// total, its battery-model kind, and whether it was cut short.
+func (m *metrics) served(job engine.Job, res engine.Result) {
+	m.jobs.Add(1)
+	if errors.Is(res.Err, engine.ErrCanceled) {
+		m.canceled.Add(1)
+	}
 	spec, ok := job.Options.BatterySpec()
 	if !ok {
 		m.modelOpaque.Add(1)
@@ -198,20 +199,13 @@ func New(cfg Config) *Server {
 			panic(fmt.Sprintf("server: invalid Config.DefaultBattery: %v", err))
 		}
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 16 << 20
 	}
 	if cfg.MaxBatchJobs <= 0 {
 		cfg.MaxBatchJobs = 10000
 	}
-	s := &Server{
-		cfg:   cfg,
-		sem:   make(chan struct{}, cfg.MaxInFlight),
-		start: time.Now(),
-	}
+	s := &Server{cfg: cfg, start: time.Now()}
 	s.life, s.stop = context.WithCancel(context.Background())
 	s.metrics.modelKinds = make([]atomic.Uint64, len(specKinds))
 	if cfg.CacheEntries >= 0 {
@@ -221,11 +215,11 @@ func New(cfg Config) *Server {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// One computation gate shared by every request: per-request pools
-	// give a lone batch full parallelism, while the gate keeps total
-	// scheduling concurrency at `workers` instead of
-	// MaxInFlight × workers when many requests land at once (cache
-	// hits bypass it).
+	// One computation gate shared by every request, sync or async: it
+	// is the server's only bound on scheduling concurrency. Per-request
+	// pools give a lone batch full parallelism, while the gate keeps the
+	// total at `workers` however many requests land at once (cache hits
+	// bypass it).
 	s.engine = cache.Engine{
 		Cache:   s.cache,
 		Workers: cfg.Workers,
@@ -240,14 +234,14 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close marks the server as draining: requests waiting for an in-flight
-// slot get an immediate 503 instead of blocking graceful shutdown until
-// their clients give up, and in-flight scheduling work is canceled —
-// each running request returns promptly, its unfinished jobs marked
-// with the "canceled" code (its finished ones keep their results). The
-// async queue drains too: queued jobs abort without running, running
-// ones are canceled, and pollers/streamers observe the "aborted"
-// terminal state. Safe to call more than once.
+// Close marks the server as draining: every sync request that arrives
+// afterwards gets 503 + Retry-After, and in-flight scheduling work is
+// canceled — each running request returns promptly, its unfinished jobs
+// marked with the "canceled" code (its finished ones keep their
+// results). The async queue drains too: new submissions get the same
+// 503, queued jobs abort without running, running ones are canceled,
+// and pollers/streamers observe the "aborted" terminal state. Safe to
+// call more than once.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.stop()
@@ -281,19 +275,6 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 // and for embedding servers that want to inspect Stats.
 func (s *Server) Cache() *cache.Cache { return s.cache }
 
-// applyDefaultBattery fills Config.DefaultBattery into a job that
-// selected no battery of its own. Jobs carrying a "battery" object or
-// the "beta" shorthand (which resolves through Options.Beta) are left
-// alone, as are deprecated opaque models (impossible over the wire).
-func (s *Server) applyDefaultBattery(job *engine.Job) {
-	if s.cfg.DefaultBattery == nil {
-		return
-	}
-	if job.Options.Battery == nil && job.Options.Beta == 0 && job.Options.Model == nil {
-		job.Options.Battery = s.cfg.DefaultBattery
-	}
-}
-
 // Handler returns the routed handler, wrapped with the access logger.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -312,26 +293,19 @@ func (s *Server) Handler() http.Handler {
 	return s.accessLog(mux)
 }
 
-// acquire takes an in-flight slot, giving up when the request dies or
-// the server starts draining first. It reports whether the slot was
-// taken; the caller must release on true.
-func (s *Server) acquire(r *http.Request) bool {
-	select {
-	case s.sem <- struct{}{}:
-		s.metrics.inFlight.Add(1)
-		return true
-	case <-r.Context().Done():
-		s.metrics.rejected.Add(1)
-		return false
-	case <-s.life.Done():
-		s.metrics.rejected.Add(1)
+// errDraining is the answer to work that arrives after Close, sync or
+// async.
+var errDraining = errors.New("server: shutting down; job not accepted")
+
+// rejectDraining answers a sync request that arrives after Close with
+// 503 + Retry-After, counted in `rejected`, and reports whether it did.
+func (s *Server) rejectDraining(w http.ResponseWriter) bool {
+	if !s.draining() {
 		return false
 	}
-}
-
-func (s *Server) release() {
-	s.metrics.inFlight.Add(-1)
-	<-s.sem
+	s.metrics.rejected.Add(1)
+	s.writeRetryError(w, http.StatusServiceUnavailable, errDraining)
+	return true
 }
 
 // handleSchedule runs one job: wire.Job body in, wire.Result body out.
@@ -340,35 +314,16 @@ func (s *Server) release() {
 // served result carries an X-Cache: hit|miss header.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	s.metrics.schedule.Add(1)
-	body, err := s.readBody(w, r)
-	if err != nil {
-		s.writeError(w, bodyErrorStatus(err), err)
+	_, job, ok := s.decodeJob(w, r)
+	if !ok || s.rejectDraining(w) {
 		return
 	}
-	job, err := wire.DecodeJob(body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ejob, err := job.ToEngine()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.applyDefaultBattery(&ejob)
-	if !s.acquire(r) {
-		s.writeRetryError(w, http.StatusServiceUnavailable, errors.New("server: shutting down or request cancelled while waiting for capacity"))
-		return
-	}
-	defer s.release()
-
+	s.metrics.inFlight.Add(1)
+	defer s.metrics.inFlight.Add(-1)
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	res, hit := s.engine.RunContext(ctx, ejob)
-	s.metrics.jobs.Add(1)
-	s.metrics.countModelKind(ejob)
-	s.metrics.canceled.Add(countCanceled(res))
-	out := wire.FromEngine(0, res)
+	res, hit := s.engine.RunContext(ctx, job)
+	s.metrics.served(job, res)
 	w.Header().Set("Content-Type", "application/json")
 	if hit {
 		w.Header().Set("X-Cache", "hit")
@@ -379,7 +334,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.metrics.errors.Add(1)
 		w.WriteHeader(http.StatusUnprocessableEntity)
 	}
-	json.NewEncoder(w).Encode(out)
+	json.NewEncoder(w).Encode(wire.FromEngine(0, res))
 }
 
 // handleBatch streams NDJSON jobs in and NDJSON results out, in input
@@ -388,77 +343,43 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // starts — exactly battbatch's contract over HTTP.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batch.Add(1)
-	body, err := s.readBody(w, r)
-	if err != nil {
-		s.writeError(w, bodyErrorStatus(err), err)
+	wjobs, jobs, parseErrs, ok := s.decodeBatch(w, r)
+	if !ok || s.rejectDraining(w) {
 		return
 	}
-
-	// One result slot per non-blank line; a line that fails to decode
-	// keeps its slot and reports its own error (see wire.DecodeJobs).
-	jobs, names, parseErrs, err := wire.DecodeJobs(bytes.NewReader(body))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(jobs) > s.cfg.MaxBatchJobs {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch has %d jobs, limit is %d", len(jobs), s.cfg.MaxBatchJobs))
-		return
-	}
-	for i := range jobs {
-		if parseErrs[i] == nil {
-			s.applyDefaultBattery(&jobs[i])
-		}
-	}
-	if !s.acquire(r) {
-		s.writeRetryError(w, http.StatusServiceUnavailable, errors.New("server: shutting down or request cancelled while waiting for capacity"))
-		return
-	}
-	defer s.release()
-
+	s.metrics.inFlight.Add(1)
+	defer s.metrics.inFlight.Add(-1)
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	results, hits := s.engine.RunBatchContext(ctx, jobs)
-	s.metrics.jobs.Add(uint64(len(jobs)))
-	// Count per-slot, skipping lines that failed to parse: their
-	// placeholder jobs can land on ErrCanceled too, but the response
-	// reports their parse error (wire.Results), so counting them would
-	// make /metrics disagree with what the client was told.
-	var canceledJobs uint64
-	for i := range results {
+
+	// Only the lines that decoded reach the engine; a failed line keeps
+	// its slot and wire.Results reports its decode error there.
+	run := make([]engine.Job, 0, len(jobs))
+	at := make([]int, 0, len(jobs))
+	for i := range jobs {
 		if parseErrs[i] == nil {
-			canceledJobs += countCanceled(results[i])
-			s.metrics.countModelKind(jobs[i])
+			run = append(run, jobs[i])
+			at = append(at, i)
 		}
 	}
-	s.metrics.canceled.Add(canceledJobs)
+	ran, hits := s.engine.RunBatchContext(ctx, run)
+	results := make([]engine.Result, len(jobs))
 	hitCount := 0
-	for _, h := range hits {
-		if h {
+	for k, i := range at {
+		results[i] = ran[k]
+		s.metrics.served(jobs[i], ran[k])
+		if hits[k] {
 			hitCount++
 		}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Cache-Hits", fmt.Sprintf("%d/%d", hitCount, len(jobs)))
 	enc := json.NewEncoder(w)
-	for _, out := range wire.Results(results, names, parseErrs) {
+	for _, out := range wire.Results(wjobs, results, parseErrs) {
 		if err := enc.Encode(out); err != nil {
 			return // client went away mid-stream; nothing to salvage
 		}
 	}
-}
-
-// countCanceled counts results cut short by cancellation (client
-// disconnect, server drain or per-job timeout) for the metrics counter.
-func countCanceled(results ...engine.Result) uint64 {
-	var n uint64
-	for _, res := range results {
-		if errors.Is(res.Err, engine.ErrCanceled) {
-			n++
-		}
-	}
-	return n
 }
 
 // handleFixtures serves the shared built-in graph registry.
@@ -543,11 +464,11 @@ type MetricsSnapshot struct {
 	UptimeSeconds float64           `json:"uptime_seconds"`
 	Requests      map[string]uint64 `json:"requests"`
 	ErrorCount    uint64            `json:"error_responses"`
-	Rejected      uint64            `json:"rejected"`
+	// Rejected counts sync requests refused with 503 because the server
+	// was draining.
+	Rejected uint64 `json:"rejected"`
 	// RejectedQueue counts async submissions refused by the queue's
-	// admission control (429s and per-line batch rejections) — distinct
-	// from Rejected, which counts sync requests that lost their wait
-	// for an in-flight slot.
+	// admission control (429s and per-line batch rejections).
 	RejectedQueue uint64 `json:"rejected_queue"`
 	JobsTotal     uint64 `json:"jobs_total"`
 	Canceled      uint64 `json:"canceled"`
@@ -559,10 +480,10 @@ type MetricsSnapshot struct {
 	// ideal, peukert, kibam, calibrated; "opaque" for deprecated
 	// Options.Model jobs from embedding callers). Kinds never served
 	// are omitted.
-	ModelKinds  map[string]uint64 `json:"model_kinds,omitempty"`
-	InFlight    int64             `json:"in_flight"`
-	MaxInFlight int               `json:"max_in_flight"`
-	Cache       *cache.Stats      `json:"cache,omitempty"`
+	ModelKinds map[string]uint64 `json:"model_kinds,omitempty"`
+	// InFlight is how many sync requests are running scheduling work.
+	InFlight int64        `json:"in_flight"`
+	Cache    *cache.Stats `json:"cache,omitempty"`
 }
 
 // Metrics snapshots the counters (also what GET /metrics serves).
@@ -585,7 +506,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Canceled:      s.metrics.canceled.Load(),
 		JobsAsync:     s.jobs.Stats(),
 		InFlight:      s.metrics.inFlight.Load(),
-		MaxInFlight:   s.cfg.MaxInFlight,
 	}
 	kinds := map[string]uint64{}
 	for i, kind := range specKinds {
@@ -613,21 +533,67 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.Metrics())
 }
 
-// bodyErrorStatus maps body-read failures to a status: an over-limit
-// body is the client's fault in a specific way (413), everything else a
-// plain 400.
-func bodyErrorStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
+// readBody reads a size-capped request body. On failure it has written
+// the error response — 413 for an over-limit body, 400 otherwise — and
+// reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	defer r.Body.Close()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, status, err)
+		return nil, false
 	}
-	return http.StatusBadRequest
+	return body, true
 }
 
-// readBody reads a size-capped request body.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// decodeJob is the single-job intake shared by the sync and async
+// routes: read the body, decode and resolve it, apply the default
+// battery. On failure it has written the error response (400, or 413
+// for an over-limit body) and reports false.
+func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) (wire.Job, engine.Job, bool) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return wire.Job{}, engine.Job{}, false
+	}
+	job, err := wire.DecodeJob(body)
+	var ejob engine.Job
+	if err == nil {
+		ejob, err = job.ToEngine()
+	}
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return wire.Job{}, engine.Job{}, false
+	}
+	wire.ApplyDefaultBattery(&ejob, s.cfg.DefaultBattery)
+	return job, ejob, true
+}
+
+// decodeBatch is the NDJSON intake shared by the sync and async batch
+// routes: one slot per non-blank line (wire.DecodeJobs), a line that
+// fails to decode keeping its slot and its error, and the default
+// battery applied. A batch over MaxBatchJobs is refused whole with
+// 413; on that or a body failure it has written the error response
+// and reports false.
+func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]wire.Job, []engine.Job, []error, bool) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return nil, nil, nil, false
+	}
+	wjobs, jobs, errs := wire.DecodeJobs(body)
+	if len(wjobs) > s.cfg.MaxBatchJobs {
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("server: batch has %d jobs, limit is %d", len(wjobs), s.cfg.MaxBatchJobs))
+		return nil, nil, nil, false
+	}
+	for i := range jobs {
+		wire.ApplyDefaultBattery(&jobs[i], s.cfg.DefaultBattery)
+	}
+	return wjobs, jobs, errs, true
 }
 
 // writeError sends the JSON error envelope shared by every endpoint.
@@ -647,7 +613,7 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // writeRetryError is writeError plus a Retry-After header — the shape
-// of every transient rejection (429 queue-full, 503 capacity), so
+// of every transient rejection (429 queue-full, 503 draining), so
 // well-behaved clients know these are back-off-and-retry conditions,
 // not failures.
 func (s *Server) writeRetryError(w http.ResponseWriter, status int, err error) {

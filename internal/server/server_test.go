@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"log"
@@ -225,6 +224,40 @@ func TestBatchJobCap(t *testing.T) {
 	}
 }
 
+// TestBadBatchLinesNeverReachEngine: a batch line that fails to decode
+// is answered with its own error on both batch routes without touching
+// the engine — it is neither a served job nor a cache bypass.
+func TestBadBatchLinesNeverReachEngine(t *testing.T) {
+	const body = `{"name":"a","fixture":"g2","deadline":75}
+{"name":"bad","fixture":"g9","deadline":75}
+{"name":"c","fixture":"g3","deadline":230}
+`
+	for _, route := range []string{"/v1/batch", "/v1/jobs/stream?ordered=1"} {
+		t.Run(route, func(t *testing.T) {
+			s, ts := newJobsServer(t, Config{Workers: 2})
+			resp, data := post(t, ts.URL+route, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, data)
+			}
+			lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+			if len(lines) != 3 {
+				t.Fatalf("got %d result lines, want 3:\n%s", len(lines), data)
+			}
+			var bad wire.Result
+			if err := json.Unmarshal([]byte(lines[1]), &bad); err != nil {
+				t.Fatal(err)
+			}
+			if bad.Name != "bad" || !strings.Contains(bad.Error, `unknown fixture "g9"`) {
+				t.Fatalf("bad line should carry its decode error: %s", lines[1])
+			}
+			m := s.Metrics()
+			if m.JobsTotal != 2 || m.Cache.Bypasses != 0 {
+				t.Fatalf("jobs_total = %d, bypasses = %d; want 2 and 0", m.JobsTotal, m.Cache.Bypasses)
+			}
+		})
+	}
+}
+
 // TestFixturesEndpoint serves the shared registry.
 func TestFixturesEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -281,32 +314,10 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestInFlightLimitRejectsDeadRequests: a request whose context is
-// already done cannot take an in-flight slot and gets a 503.
-func TestInFlightLimitRejectsDeadRequests(t *testing.T) {
-	s := New(Config{MaxInFlight: 1})
-	// Fill the only slot so acquire must wait, then offer a dead request.
-	s.sem <- struct{}{}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	req := httptest.NewRequest(http.MethodPost, "/v1/schedule",
-		strings.NewReader(`{"fixture":"g2","deadline":75}`)).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", rec.Code)
-	}
-	if s.Metrics().Rejected != 1 {
-		t.Fatalf("rejected counter = %d, want 1", s.Metrics().Rejected)
-	}
-}
-
 // TestCloseFailsQueuedRequestsFast: once the server is draining, a
-// request waiting for capacity gets an immediate 503 instead of
-// blocking graceful shutdown.
+// request gets an immediate 503 instead of blocking graceful shutdown.
 func TestCloseFailsQueuedRequestsFast(t *testing.T) {
-	s := New(Config{MaxInFlight: 1})
-	s.sem <- struct{}{} // saturate: the next request must queue
+	s := New(Config{})
 	s.Close()
 	s.Close() // idempotent
 
@@ -325,6 +336,31 @@ func TestCloseFailsQueuedRequestsFast(t *testing.T) {
 	}
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", rec.Code)
+	}
+}
+
+// TestDrainRejectsEverySyncRequest: after Close, an idle server
+// answers every sync request with 503 + Retry-After — never a race
+// between a free slot and the drain that lets some requests run (and
+// then fail as canceled) — and counts each one in `rejected`.
+func TestDrainRejectsEverySyncRequest(t *testing.T) {
+	s, ts := newTestServer(t)
+	s.Close()
+	const n = 50
+	for _, route := range []string{"/v1/schedule", "/v1/batch"} {
+		for i := 0; i < n; i++ {
+			resp, data := post(t, ts.URL+route, `{"fixture":"g2","deadline":75}`)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("%s request %d after Close: status %d, want 503: %s", route, i, resp.StatusCode, data)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("%s request %d after Close: 503 without Retry-After", route, i)
+			}
+		}
+	}
+	m := s.Metrics()
+	if m.Rejected != 2*n || m.JobsTotal != 0 {
+		t.Fatalf("rejected = %d, jobs_total = %d; want %d and 0", m.Rejected, m.JobsTotal, 2*n)
 	}
 }
 

@@ -125,8 +125,8 @@ func TestBatchBatterySpecs(t *testing.T) {
 		seen[c] = name
 	}
 
-	// The invalid line was counted as a request job but not attributed
-	// to a model kind (it never resolved one); the five valid ones were.
+	// The invalid line never reached the engine, so it is not
+	// attributed to a model kind; the five valid ones were.
 	snap := s.Metrics()
 	var kindTotal uint64
 	for _, n := range snap.ModelKinds {

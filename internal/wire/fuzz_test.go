@@ -35,15 +35,9 @@ func FuzzDecodeJobs(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		jobs, names, errs, err := DecodeJobs(bytes.NewReader(data))
-		if err != nil {
-			if jobs != nil || names != nil || errs != nil {
-				t.Fatalf("stream-level failure must return nil slices, got %d/%d/%d", len(jobs), len(names), len(errs))
-			}
-			return
-		}
-		if len(jobs) != len(names) || len(jobs) != len(errs) {
-			t.Fatalf("outputs not parallel: %d jobs, %d names, %d errs", len(jobs), len(names), len(errs))
+		wjobs, jobs, errs := DecodeJobs(data)
+		if len(jobs) != len(wjobs) || len(jobs) != len(errs) {
+			t.Fatalf("outputs not parallel: %d jobs, %d wire jobs, %d errs", len(jobs), len(wjobs), len(errs))
 		}
 		for i := range jobs {
 			if errs[i] != nil {

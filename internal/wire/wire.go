@@ -21,11 +21,9 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -258,52 +256,42 @@ const MaxTimeoutMS = 24 * 60 * 60 * 1000
 // small ordinal levels, not an unbounded score.
 const MaxPriority = 9
 
-// DecodeJobs reads an NDJSON job stream: one job per non-blank line,
+// DecodeJobs decodes an NDJSON job body: one job per non-blank line,
 // decoded and resolved into engine jobs. Every non-blank line claims
-// one slot in the returned slices; a line that fails to decode or
-// validate keeps its slot with a zero-value placeholder job (which the
-// engine rejects instantly on its nil graph) and its error in errs —
-// so batch front ends report the decode error for exactly that line
-// without aborting the rest. names echoes each line's "name" field.
-// The only stream-level failure is a scanner error on r.
-func DecodeJobs(r io.Reader) (jobs []engine.Job, names []string, errs []error, err error) {
-	wjobs, jobs, errs, err := DecodeJobsFull(r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	names = make([]string, len(wjobs))
-	for i := range wjobs {
-		names[i] = wjobs[i].Name
-	}
-	return jobs, names, errs, nil
-}
-
-// DecodeJobsFull is DecodeJobs keeping the decoded wire jobs too, for
-// front ends that need the wire-only fields an engine job does not
-// carry (the async queue's priority and ttl_ms). The slices are
-// parallel; a line that failed to decode holds zero-value placeholders
-// in both job slices and its error in errs.
-func DecodeJobsFull(r io.Reader) (wjobs []Job, jobs []engine.Job, errs []error, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26) // inline graphs can be large
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+// one slot in the three parallel slices; a line that fails to decode
+// or validate keeps its slot, holding its error in errs and a
+// placeholder engine job with no graph — so batch front ends report
+// the decode error for exactly that line without aborting the rest.
+// The wire jobs carry the fields an engine job does not: the name and
+// the async queue's priority and ttl_ms.
+func DecodeJobs(body []byte) (wjobs []Job, jobs []engine.Job, errs []error) {
+	for line := range bytes.Lines(body) {
+		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		var ejob engine.Job
-		job, perr := DecodeJob(line)
-		if perr == nil {
-			ejob, perr = job.ToEngine()
+		job, err := DecodeJob(line)
+		if err == nil {
+			ejob, err = job.ToEngine()
 		}
 		wjobs = append(wjobs, job)
 		jobs = append(jobs, ejob)
-		errs = append(errs, perr)
+		errs = append(errs, err)
 	}
-	if serr := sc.Err(); serr != nil {
-		return nil, nil, nil, fmt.Errorf("reading jobs: %w", serr)
+	return wjobs, jobs, errs
+}
+
+// ApplyDefaultBattery gives job the default battery spec when it
+// selected no battery model of its own: no "battery" object and no
+// "beta" shorthand (which resolves through Options.Beta). A nil spec
+// leaves every job as it is, as does a deprecated opaque model (which
+// no wire job can carry). It is the one definition of the -battery
+// flag both battbatch and battschedd offer.
+func ApplyDefaultBattery(job *engine.Job, spec *battery.Spec) {
+	if spec != nil && job.Options.Battery == nil && job.Options.Beta == 0 && job.Options.Model == nil {
+		job.Options.Battery = spec
 	}
-	return wjobs, jobs, errs, nil
 }
 
 // finite reports whether v is an ordinary number (not NaN, not ±Inf).
@@ -448,12 +436,13 @@ func ErrorResult(index int, name string, err error) Result {
 // that failed decoding (per DecodeJobs) report their own decode error,
 // the rest carry their engine result. It is the inverse bookend of
 // DecodeJobs, shared by every batch front end so their output lines
-// cannot drift apart. The three slices must be parallel.
-func Results(results []engine.Result, names []string, errs []error) []Result {
+// cannot drift apart. The three slices must be parallel; a failed
+// line's engine result is never read.
+func Results(wjobs []Job, results []engine.Result, errs []error) []Result {
 	out := make([]Result, len(results))
 	for i, res := range results {
 		if errs[i] != nil {
-			out[i] = ErrorResult(i, names[i], errs[i])
+			out[i] = ErrorResult(i, wjobs[i].Name, errs[i])
 		} else {
 			out[i] = FromEngine(i, res)
 		}

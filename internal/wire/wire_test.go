@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/battery"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/taskgraph"
 )
@@ -237,5 +238,55 @@ func TestFromEngineCanceledCode(t *testing.T) {
 	ok := FromEngine(0, engine.RunBatch([]engine.Job{{Graph: taskgraph.G2(), Deadline: 75}}, 1)[0])
 	if ok.Code != "" || ok.Error != "" {
 		t.Fatalf("success must carry no code: %+v", ok)
+	}
+}
+
+// TestDecodeJobsLines pins DecodeJobs' line rules: blank and
+// whitespace-only lines are skipped, CRLF endings and a missing final
+// newline are fine, and a bad line keeps its slot — its error set, its
+// placeholder job graphless — between clean neighbours.
+func TestDecodeJobsLines(t *testing.T) {
+	body := "\n{\"name\":\"a\",\"fixture\":\"g2\",\"deadline\":75}\r\n  \t\n" +
+		"{\"name\":\"b\",\"fixture\":\"g9\",\"deadline\":75}\n" +
+		"{\"name\":\"c\",\"fixture\":\"g3\",\"deadline\":230}"
+	wjobs, jobs, errs := DecodeJobs([]byte(body))
+	if len(wjobs) != 3 || len(jobs) != 3 || len(errs) != 3 {
+		t.Fatalf("got %d/%d/%d slots, want 3", len(wjobs), len(jobs), len(errs))
+	}
+	for i, name := range []string{"a", "b", "c"} {
+		if wjobs[i].Name != name {
+			t.Fatalf("slot %d holds %q, want %q", i, wjobs[i].Name, name)
+		}
+		if bad := name == "b"; (errs[i] != nil) != bad || (jobs[i].Graph == nil) != bad {
+			t.Fatalf("slot %d: err %v, graph %v", i, errs[i], jobs[i].Graph != nil)
+		}
+	}
+	if w, j, e := DecodeJobs(nil); w != nil || j != nil || e != nil {
+		t.Fatal("an empty body must decode to no slots")
+	}
+}
+
+// TestApplyDefaultBattery: the default spec fills only jobs that chose
+// no battery model of their own.
+func TestApplyDefaultBattery(t *testing.T) {
+	def := &battery.Spec{Kind: battery.KindIdeal}
+	own := &battery.Spec{Kind: battery.KindKiBaM}
+	for _, tc := range []struct {
+		name string
+		job  engine.Job
+		want *battery.Spec
+	}{
+		{"none", engine.Job{}, def},
+		{"battery", engine.Job{Options: core.Options{Battery: own}}, own},
+		{"beta", engine.Job{Options: core.Options{Beta: 0.5}}, nil},
+	} {
+		ApplyDefaultBattery(&tc.job, def)
+		if tc.job.Options.Battery != tc.want {
+			t.Errorf("%s: battery %v, want %v", tc.name, tc.job.Options.Battery, tc.want)
+		}
+		ApplyDefaultBattery(&tc.job, nil) // a nil default changes nothing
+		if tc.job.Options.Battery != tc.want {
+			t.Errorf("%s: nil default changed the battery", tc.name)
+		}
 	}
 }

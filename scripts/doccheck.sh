@@ -1,12 +1,18 @@
 #!/usr/bin/env bash
-# doccheck.sh — verify that every relative link in the repository's
-# markdown docs points at a file or directory that actually exists.
+# doccheck.sh — verify that the repository's markdown docs agree with
+# the tree:
 #
-# Checked files: README.md, ARCHITECTURE.md, and everything under docs/.
-# External links (http/https) and pure in-page anchors (#...) are
-# skipped; a link's own anchor suffix (FILE.md#section) is stripped
-# before the existence check. Run from anywhere; exits non-zero listing
-# every broken link.
+#   - every relative link points at a file or directory that actually
+#     exists. Checked files: README.md, ARCHITECTURE.md, and everything
+#     under docs/. External links (http/https) and pure in-page anchors
+#     (#...) are skipped; a link's own anchor suffix (FILE.md#section)
+#     is stripped before the existence check.
+#   - every flag the `go run ./cmd/battschedd ...` block in docs/API.md
+#     names is one `battschedd -h` lists, so a deleted or renamed flag
+#     cannot linger in the docs.
+#
+# Run from anywhere; exits non-zero listing every broken link and every
+# unknown flag.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -34,8 +40,30 @@ for md in "${files[@]}"; do
   done < <(grep -o ']([^)]*)' "$md" | sed 's/^](//; s/)$//')
 done
 
+# The daemon's documented start command: the `go run ./cmd/battschedd`
+# line plus its backslash continuations.
+documented=$(awk '/^go run \.\/cmd\/battschedd/ {on=1} on {print} on && !/\\$/ {on=0}' docs/API.md |
+  grep -oE '(^|[[:space:]])-[a-z][a-z0-9-]*' | sed -E 's/^[[:space:]]*-//' | sort -u)
+if [ -z "$documented" ]; then
+  echo "doccheck: docs/API.md has no go run ./cmd/battschedd block"
+  fail=1
+fi
+usage=$(go run ./cmd/battschedd -h 2>&1)
+listed=$(printf '%s\n' "$usage" | sed -nE 's/^[[:space:]]+-([a-z][a-z0-9-]*).*/\1/p' | sort -u)
+if [ -z "$listed" ]; then
+  echo "doccheck: could not read battschedd -h:"
+  printf '%s\n' "$usage"
+  fail=1
+fi
+for flag in $documented; do
+  if ! printf '%s\n' "$listed" | grep -qx -- "$flag"; then
+    echo "doccheck: docs/API.md starts battschedd with -$flag, which battschedd -h does not list"
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "doccheck: FAILED"
   exit 1
 fi
-echo "doccheck: all doc links resolve (${#files[@]} files checked)"
+echo "doccheck: all doc links resolve (${#files[@]} files checked), battschedd flags match docs/API.md ($(echo $documented | wc -w) flags)"
