@@ -333,12 +333,10 @@ func NewCache(maxEntries int) *Cache { return cache.New(maxEntries) }
 // RunCached is Run behind a result cache: a repeated (graph, deadline,
 // options) triple answers from memory, and identical concurrent calls
 // compute once. Results are deep copies, so callers may mutate them
-// freely. A nil cache, a deprecated opaque Options.Model (no canonical
-// content to hash) or Options.RecordTrace (the trace is not cached)
-// all fall back to a plain Run; declarative Options.Battery specs are
-// fully cacheable.
+// freely. A nil cache or Options.RecordTrace (the trace is not cached)
+// falls back to a plain Run; every battery spec is cacheable.
 func RunCached(c *Cache, g *Graph, deadline float64, opt Options) (*Result, error) {
-	if c == nil || opt.Model != nil || opt.RecordTrace {
+	if c == nil || opt.RecordTrace {
 		return Run(g, deadline, opt)
 	}
 	ce := cache.Engine{Cache: c, Workers: 1}

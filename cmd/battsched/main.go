@@ -10,8 +10,9 @@
 //
 // -battery selects the battery model declaratively (kinds: rakhmatov,
 // ideal, peukert, kibam, calibrated; see battery.ParseSpec for the
-// parameter names); it subsumes -beta, which remains as the Rakhmatov
-// shorthand. The graph schema is documented in the README; cmd/taskgen
+// parameter names). -beta b is shorthand for -battery rakhmatov,beta=b
+// and is read into exactly that spec; the two flags are mutually
+// exclusive. The graph schema is documented in the README; cmd/taskgen
 // generates synthetic instances.
 package main
 
@@ -53,19 +54,18 @@ func main() {
 	}
 	// One validated construction path for the cost model: the -battery
 	// spec if given, else the -beta Rakhmatov shorthand as a spec.
-	opt := core.Options{Beta: *beta, RecordTrace: *trace, Approx: *approx}
+	spec := battery.Spec{Kind: battery.KindRakhmatov, Beta: *beta}
 	if *batt != "" {
 		betaSet := false
 		flag.Visit(func(f *flag.Flag) { betaSet = betaSet || f.Name == "beta" })
 		if betaSet {
 			fatal(fmt.Errorf("-beta and -battery are mutually exclusive (use -battery rakhmatov,beta=...)"))
 		}
-		spec, err := battery.ParseSpec(*batt)
-		if err != nil {
+		if spec, err = battery.ParseSpec(*batt); err != nil {
 			fatal(err)
 		}
-		opt = core.Options{Battery: &spec, RecordTrace: *trace, Approx: *approx}
 	}
+	opt := core.Options{Battery: &spec, RecordTrace: *trace, Approx: *approx}
 	model, err := opt.ResolveModel()
 	if err != nil {
 		fatal(err)

@@ -267,8 +267,8 @@ func (s Spec) Resolve() (Model, error) {
 	c := s.Canonical()
 	switch c.Kind {
 	case KindRakhmatov:
-		// Construct exactly as Options.withDefaults always did — the
-		// struct literal, not NewRakhmatov, so Terms overrides survive.
+		// The struct literal, not NewRakhmatov, so Terms overrides
+		// survive.
 		return Rakhmatov{Beta: c.Beta, Terms: c.Terms}, nil
 	case KindIdeal:
 		return Ideal{}, nil

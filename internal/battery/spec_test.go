@@ -106,10 +106,10 @@ func TestSpecValidateRejects(t *testing.T) {
 	}
 }
 
-// TestSpecResolveDefaultBitIdentical pins the refactor's core guarantee:
-// the default spec resolves to exactly the model value the scheduler's
-// historical Beta/SeriesTerms defaulting constructed, so every sigma it
-// computes is bit-identical.
+// TestSpecResolveDefaultBitIdentical pins the default battery: the
+// default spec resolves to exactly the paper's Rakhmatov model (beta
+// 0.273, ten terms), so every sigma it computes is bit-identical to
+// that model's.
 func TestSpecResolveDefaultBitIdentical(t *testing.T) {
 	m, err := DefaultSpec().Resolve()
 	if err != nil {
@@ -129,15 +129,35 @@ func TestSpecResolveDefaultBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSpecResolveMatchesConstructors: every spec resolves to exactly
+// the model value its constructor builds, so scheduling with a spec is
+// bit-identical to costing with that model. The cases cover the
+// scheduler's spec suite and the four models of experiments'
+// ModelComparison (its Peukert reference current is a quarter of the
+// graph's peak current: 234.5 mA for the G2/G3 fixtures).
 func TestSpecResolveMatchesConstructors(t *testing.T) {
-	if m := kibamSpec().MustResolve(); m != NewKiBaM(40000, 0.5, 0.1) {
-		t.Fatalf("kibam spec resolved to %#v", m)
-	}
-	if m := peukertSpec().MustResolve(); m != NewPeukert(1.2, 100) {
-		t.Fatalf("peukert spec resolved to %#v", m)
-	}
-	if m := (Spec{Kind: KindIdeal}).MustResolve(); m != (Ideal{}) {
-		t.Fatalf("ideal spec resolved to %#v", m)
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want Model
+	}{
+		{"rakhmatov-beta", Spec{Kind: KindRakhmatov, Beta: 0.5}, NewRakhmatov(0.5)},
+		{"ideal", Spec{Kind: KindIdeal}, Ideal{}},
+		{"peukert", peukertSpec(), NewPeukert(1.2, 100)},
+		{"kibam", kibamSpec(), NewKiBaM(40000, 0.5, 0.1)},
+		{"modelcompare-rakhmatov", Spec{Kind: KindRakhmatov, Beta: DefaultBeta}, NewRakhmatov(DefaultBeta)},
+		{"modelcompare-peukert", Spec{Kind: KindPeukert, Exponent: 1.2, RefCurrent: 938.0 / 4}, NewPeukert(1.2, 938.0/4)},
+		{"modelcompare-kibam", Spec{Kind: KindKiBaM, Capacity: 1e6, WellFraction: 0.6, RateConstant: 0.05}, NewKiBaM(1e6, 0.6, 0.05)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := c.spec.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m != c.want {
+				t.Fatalf("%s resolved to %#v, want %#v", c.spec, m, c.want)
+			}
+		})
 	}
 	// Calibrated resolves to the same Rakhmatov the explicit fit yields.
 	spec := calibratedSpec()

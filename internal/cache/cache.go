@@ -102,10 +102,10 @@ type Stats struct {
 	Dedups uint64 `json:"dedups"`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// Bypasses counts requests that were not cacheable (opaque
-	// deprecated Options.Model, nil graph, unknown strategy, invalid
-	// battery spec) and went straight to the engine. Declarative
-	// battery specs are cacheable and never counted here.
+	// Bypasses counts requests that were not cacheable (nil graph,
+	// unknown strategy, invalid battery spec) and went straight to the
+	// engine. Every valid battery spec is cacheable and never counted
+	// here.
 	Bypasses uint64 `json:"bypasses"`
 	// Entries is the current number of stored results.
 	Entries int `json:"entries"`

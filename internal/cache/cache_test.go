@@ -47,7 +47,7 @@ func TestKeyCanonical(t *testing.T) {
 	for name, job := range map[string]engine.Job{
 		"deadline": g3Job(231),
 		"strategy": {Graph: taskgraph.G3(), Deadline: 230, Strategy: engine.StrategyMultiStart},
-		"beta":     {Graph: taskgraph.G3(), Deadline: 230, Options: core.Options{Beta: 0.5}},
+		"beta":     {Graph: taskgraph.G3(), Deadline: 230, Options: core.Options{Battery: &battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.5}}},
 		"windows":  {Graph: taskgraph.G3(), Deadline: 230, Options: core.Options{Windows: core.WindowFullOnly}},
 		"graph":    {Graph: taskgraph.G2(), Deadline: 230},
 	} {
@@ -78,8 +78,7 @@ func TestKeyCanonical(t *testing.T) {
 	// Zero-valued fields hash at their resolved defaults: spelling a
 	// default out must land on the same entry as leaving it zero.
 	explicit := g3Job(230)
-	explicit.Options.Beta = battery.DefaultBeta
-	explicit.Options.SeriesTerms = battery.DefaultTerms
+	explicit.Options.Battery = &battery.Spec{Kind: battery.KindRakhmatov, Beta: battery.DefaultBeta, Terms: battery.DefaultTerms}
 	explicit.Options.MaxIterations = core.DefaultMaxIterations
 	explicit.Options.Factors = core.AllFactors
 	if k, _ := Key(explicit); k != base {
@@ -95,20 +94,15 @@ func TestKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestKeyUncacheable: nil graphs, unknown strategies, invalid battery
-// specs and opaque deprecated Options.Model values bypass the cache.
-// Declarative Options.Battery specs do NOT — see spec_test.go.
+// TestKeyUncacheable: nil graphs, unknown strategies and invalid battery
+// specs bypass the cache. Valid Options.Battery specs do NOT — see
+// spec_test.go.
 func TestKeyUncacheable(t *testing.T) {
 	if _, ok := Key(engine.Job{Deadline: 10}); ok {
 		t.Fatal("nil graph must be uncacheable")
 	}
 	if _, ok := Key(engine.Job{Graph: taskgraph.G3(), Deadline: 10, Strategy: "nonsense"}); ok {
 		t.Fatal("unknown strategy must be uncacheable")
-	}
-	custom := g3Job(230)
-	custom.Options.Model = battery.Ideal{}
-	if _, ok := Key(custom); ok {
-		t.Fatal("opaque Options.Model must be uncacheable")
 	}
 	invalid := g3Job(230)
 	invalid.Options.Battery = &battery.Spec{Kind: "fluxcap"}

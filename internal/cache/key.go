@@ -35,9 +35,9 @@ const keyVersion = "battsched-cache-v3"
 // restart count and seed. Fields are hashed at their resolved defaults
 // (core.Options.Canonical, battery.Spec.Canonical, core.DefaultRestarts),
 // so a request spelling out a default and one leaving it zero share an
-// entry — including {"beta":0.35} and the equivalent
-// {"battery":{"kind":"rakhmatov","beta":0.35}}, which canonicalize to
-// the same spec.
+// entry — including a wire job's {"beta":0.35} shorthand and the
+// equivalent {"battery":{"kind":"rakhmatov","beta":0.35}}, which the
+// wire intake turns into the same spec.
 //
 // Deliberately excluded because they are result-neutral: Job.Name (a
 // label), MultiStart.Workers (documented bit-identical to the
@@ -50,33 +50,25 @@ const keyVersion = "battsched-cache-v3"
 //
 // Not cacheable (ok = false): a nil graph, an unknown strategy or an
 // invalid battery spec (the engine's per-job error is cheaper than
-// hashing), and an opaque Options.Model — an interface value has no
-// canonical content to hash. Declarative Options.Battery specs are
-// fully cacheable; the old "custom model ⇒ uncacheable" carve-out
-// applies only to the deprecated Model field.
+// hashing). Every valid battery spec, of any kind, is cacheable.
 //
 // Key derivation is the whole cost of a cache hit, so it encodes the
 // graph directly (no Spec marshaling) into one buffer and hashes that
 // once.
 //
 // The battlint:canonical exclusions below are the result-neutral fields
-// listed above, plus Options.Beta, .SeriesTerms, .Battery and .Model,
-// which ARE hashed — folded into the canonical battery-spec bytes by
-// Options.BatterySpec (a core method, outside the analyzer's
-// same-package view) and k.spec.
+// listed above, plus Options.Battery, which IS hashed — folded into the
+// canonical battery-spec bytes by Options.BatterySpec (a core method,
+// outside the analyzer's same-package view) and k.spec.
 //
 //battlint:canonical engine.Job -Name -Timeout
-//battlint:canonical core.Options -Beta -SeriesTerms -Battery -Model -RecordTrace
+//battlint:canonical core.Options -Battery -RecordTrace
 //battlint:canonical core.MultiStartOptions -Workers
 func Key(job engine.Job) (key string, ok bool) {
 	if job.Graph == nil {
 		return "", false
 	}
-	spec, ok := job.Options.BatterySpec()
-	if !ok {
-		// Deprecated opaque Options.Model: nothing canonical to hash.
-		return "", false
-	}
+	spec := job.Options.BatterySpec()
 	if spec.Validate() != nil {
 		return "", false
 	}

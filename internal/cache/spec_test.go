@@ -54,15 +54,10 @@ func TestKeySpecCacheable(t *testing.T) {
 	}
 
 	// The default spec and the spec-less default configuration share an
-	// entry, as do the beta shorthand and its explicit rakhmatov spec.
+	// entry (the wire's beta shorthand is covered in internal/wire).
 	base, _ := Key(engine.Job{Graph: taskgraph.G3(), Deadline: 230})
 	if keys["rakhmatov"] != base {
 		t.Fatal("default spec must share the spec-less default's entry")
-	}
-	viaBeta, _ := Key(engine.Job{Graph: taskgraph.G3(), Deadline: 230, Options: core.Options{Beta: 0.35}})
-	viaSpec, _ := Key(specJob("j", battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.35}))
-	if viaBeta != viaSpec {
-		t.Fatal(`{"beta":0.35} and {"battery":{"kind":"rakhmatov","beta":0.35}} must share an entry`)
 	}
 
 	// Job names are labels, not content.

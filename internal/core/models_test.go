@@ -8,31 +8,31 @@ import (
 )
 
 // TestSchedulerWithAlternativeModels runs the full algorithm with every
-// battery model plugged in through the Options.Model seam. All must yield
-// valid deadline-feasible schedules; the relative quality ordering is
+// battery kind selected through Options.Battery. All must yield valid
+// deadline-feasible schedules; the relative quality ordering is
 // model-dependent and not asserted.
 func TestSchedulerWithAlternativeModels(t *testing.T) {
 	g := taskgraph.G3()
-	models := []battery.Model{
-		battery.NewRakhmatov(0.273),
-		battery.Ideal{},
-		battery.NewPeukert(1.2, 100),
-		battery.NewKiBaM(200000, 0.6, 0.05),
+	specs := []battery.Spec{
+		{Kind: battery.KindRakhmatov, Beta: 0.273},
+		{Kind: battery.KindIdeal},
+		{Kind: battery.KindPeukert, Exponent: 1.2, RefCurrent: 100},
+		{Kind: battery.KindKiBaM, Capacity: 200000, WellFraction: 0.6, RateConstant: 0.05},
 	}
-	for _, m := range models {
-		s, err := New(g, taskgraph.G3Deadline, Options{Model: m})
+	for _, spec := range specs {
+		s, err := New(g, taskgraph.G3Deadline, Options{Battery: &spec})
 		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
+			t.Fatalf("%s: %v", spec, err)
 		}
 		res, err := s.Run()
 		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
+			t.Fatalf("%s: %v", spec, err)
 		}
 		if err := res.Schedule.ValidateDeadline(g, taskgraph.G3Deadline); err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
+			t.Fatalf("%s: %v", spec, err)
 		}
 		if res.Cost < 0 {
-			t.Fatalf("%s: negative cost %g", m.Name(), res.Cost)
+			t.Fatalf("%s: negative cost %g", spec, res.Cost)
 		}
 	}
 }
@@ -42,7 +42,7 @@ func TestSchedulerWithAlternativeModels(t *testing.T) {
 // exact minimum-energy assignment's energy — and should land close to it.
 func TestIdealModelReducesToEnergyMinimization(t *testing.T) {
 	g := taskgraph.G3()
-	s, err := New(g, taskgraph.G3Deadline, Options{Model: battery.Ideal{}})
+	s, err := New(g, taskgraph.G3Deadline, Options{Battery: &battery.Spec{Kind: battery.KindIdeal}})
 	if err != nil {
 		t.Fatal(err)
 	}

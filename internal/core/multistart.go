@@ -28,15 +28,12 @@ type MultiStartOptions struct {
 	Seed int64
 	// Workers bounds how many restarts run concurrently. 0 or 1 keeps
 	// the sequential path; larger values fan the restarts out over
-	// goroutines sharing the (read-only during a run) Scheduler, which
-	// requires the battery model to tolerate concurrent ChargeLost
-	// calls (all internal/battery models do; a stateful custom
-	// Options.Model must synchronize itself or keep Workers <= 1).
-	// Every restart carries its own scratch arena, so workers share no
-	// mutable state. The result is bit-identical for every Workers
-	// value: the restart weight vectors are pre-drawn from one RNG
-	// stream and the winner is reduced over seed index, never
-	// completion order.
+	// goroutines sharing the (read-only during a run) Scheduler and
+	// its stateless battery model. Every restart carries its own
+	// scratch arena, so workers share no mutable state. The result is
+	// bit-identical for every Workers value: the restart weight vectors
+	// are pre-drawn from one RNG stream and the winner is reduced over
+	// seed index, never completion order.
 	Workers int
 }
 

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -98,32 +97,19 @@ func (w WindowPolicy) String() string {
 }
 
 // Options configures the scheduler. The zero value reproduces the paper's
-// configuration (beta 0.273, ten series terms, average-current initial
-// order, full window sweep, all suitability terms, resequencing on).
+// configuration (Rakhmatov battery with beta 0.273 and ten series
+// terms, average-current initial order, full window sweep, all
+// suitability terms, resequencing on).
 type Options struct {
-	// Beta is the Rakhmatov–Vrudhula diffusion parameter
-	// (min^-1/2); 0 selects the paper's 0.273. Ignored if Model or
-	// Battery is set.
-	Beta float64
-	// SeriesTerms is the number of Equation-1 series terms; 0 selects
-	// the paper's 10. Ignored if Model or Battery is set.
-	SeriesTerms int
-	// Battery declaratively selects the battery model used as the cost
-	// function: a validated (kind, parameters) spec resolved exactly
-	// once per scheduler construction, never per window. Unlike Model
-	// it has canonical content, so spec-based jobs stay fully cacheable
-	// and can travel over the wire (the "battery" JSON object). Nil
-	// falls back to the Rakhmatov model from Beta/SeriesTerms — the
-	// default spec is bit-identical to that path. Setting both Battery
-	// and Model is an error.
+	// Battery selects the battery model used as the cost function: a
+	// validated (kind, parameters) spec resolved exactly once per
+	// scheduler construction, never per window. Nil selects
+	// battery.DefaultSpec (the paper's Rakhmatov model, beta 0.273,
+	// ten series terms). A spec has canonical content, so every job is
+	// cacheable and can travel over the wire (the "battery" JSON
+	// object; the wire's "beta" shorthand becomes a rakhmatov spec at
+	// intake).
 	Battery *battery.Spec
-	// Model overrides the battery model used as the cost function with
-	// an opaque interface value.
-	//
-	// Deprecated: prefer Battery. A Model has no canonical content, so
-	// jobs carrying one cannot be cached or serialized; the field is
-	// kept working for callers with hand-written Model implementations.
-	Model battery.Model
 	// InitialOrder selects the first-iteration sequencing weight.
 	InitialOrder InitialWeight
 	// MaxIterations caps the improvement loop as a safety net; 0 means
@@ -201,55 +187,32 @@ func (r DPFColumnRule) String() string {
 const DefaultMaxIterations = 100
 
 // ResolveModel returns the battery model the scheduler will cost
-// schedules with after defaulting: Model if set (deprecated path),
-// otherwise the resolved Battery spec, otherwise a Rakhmatov model from
-// Beta/SeriesTerms (paper values when zero) — itself built through the
-// spec path, so a negative or NaN Beta is an error here exactly as it
-// would be on the wire or in the cache key. Callers costing schedules
-// outside the scheduler (baselines, reports) should use this so their
-// numbers cannot drift from the iterative run's. It fails when the
-// battery selection is invalid or when both Battery and Model are set.
+// schedules with: BatterySpec().Resolve(), so an invalid spec (say a
+// negative or NaN beta) is an error here exactly as it would be on the
+// wire or in the cache key. Callers costing schedules outside the
+// scheduler (baselines, reports) should use this so their numbers
+// cannot drift from the iterative run's.
 func (o Options) ResolveModel() (battery.Model, error) {
-	if o.Model != nil {
-		if o.Battery != nil {
-			return nil, errors.New("core: set at most one of Options.Battery and Options.Model")
-		}
-		return o.Model, nil
-	}
-	spec, _ := o.BatterySpec()
-	return spec.Resolve()
+	return o.BatterySpec().Resolve()
 }
 
-// BatterySpec returns the canonical declarative spec of the cost
-// function a run with these options uses, and ok=false when the model
-// is an opaque Options.Model value no spec describes. It is what
-// content-addressed caches hash: a job spelling {"beta":0.35} and one
-// spelling {"battery":{"kind":"rakhmatov","beta":0.35}} canonicalize to
-// the same spec and therefore share a cache entry.
-func (o Options) BatterySpec() (spec battery.Spec, ok bool) {
-	if o.Model != nil {
-		return battery.Spec{}, false
+// BatterySpec returns the canonical spec of the cost function a run
+// with these options uses: Battery canonicalized, or DefaultSpec when
+// Battery is nil. It is what content-addressed caches hash.
+func (o Options) BatterySpec() battery.Spec {
+	if o.Battery == nil {
+		return battery.DefaultSpec()
 	}
-	if o.Battery != nil {
-		return o.Battery.Canonical(), true
-	}
-	o = o.Canonical()
-	return battery.Spec{Kind: battery.KindRakhmatov, Beta: o.Beta, Terms: o.SeriesTerms}, true
+	return o.Battery.Canonical()
 }
 
 // Canonical returns a copy of o with every result-affecting scalar
-// field resolved to the value the scheduler will actually use (Beta,
-// SeriesTerms, MaxIterations, Factors), leaving Model and Battery
-// untouched (caches hash the battery through BatterySpec instead). It
-// is the form content-addressed caches hash, so a zero field and its
-// explicit default produce the same key.
+// field resolved to the value the scheduler will actually use
+// (MaxIterations, Factors), leaving Battery untouched (caches hash the
+// battery through BatterySpec instead). It is the form
+// content-addressed caches hash, so a zero field and its explicit
+// default produce the same key.
 func (o Options) Canonical() Options {
-	if o.Beta == 0 {
-		o.Beta = battery.DefaultBeta
-	}
-	if o.SeriesTerms == 0 {
-		o.SeriesTerms = battery.DefaultTerms
-	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = DefaultMaxIterations
 	}
@@ -259,20 +222,16 @@ func (o Options) Canonical() Options {
 	return o
 }
 
-// withDefaults resolves every default including the battery model;
-// NewBase is the only caller (it surfaces the error to its caller).
-func (o Options) withDefaults() (Options, error) {
+// withDefaults checks Approx, resolves the battery model and applies
+// the Canonical defaults; NewBase is the only caller (it surfaces the
+// error to its caller).
+func (o Options) withDefaults() (Options, battery.Model, error) {
 	if o.Approx < 0 || o.Approx > MaxApprox || math.IsNaN(o.Approx) {
-		return o, fmt.Errorf("core: Options.Approx must be in [0, %d], got %g", MaxApprox, o.Approx)
+		return o, nil, fmt.Errorf("core: Options.Approx must be in [0, %d], got %g", MaxApprox, o.Approx)
 	}
 	model, err := o.ResolveModel()
 	if err != nil {
-		return o, err
+		return o, nil, err
 	}
-	o = o.Canonical()
-	// Materialize the resolved model and drop the spec so the stored
-	// options carry exactly one model source.
-	o.Model = model
-	o.Battery = nil
-	return o, nil
+	return o.Canonical(), model, nil
 }

@@ -42,11 +42,10 @@ type Result struct {
 // Scheduler runs the paper's algorithm for one task graph and deadline.
 // Create it with New. All Scheduler state is immutable after New, so a
 // Scheduler is safe for repeated and for concurrent Run calls (the
-// restart fan-out of RunMultiStart relies on this) — provided the
-// battery model is safe for concurrent ChargeLost calls, which every
-// model in internal/battery is (they are stateless values). Every run
-// carries its own scratch arena (see runScratch), so concurrent runs
-// never share mutable state.
+// restart fan-out of RunMultiStart relies on this): the battery model
+// is resolved from Options.Battery to a stateless internal/battery
+// value, and every run carries its own scratch arena (see runScratch),
+// so concurrent runs never share mutable state.
 type Scheduler struct {
 	g        *taskgraph.Graph
 	deadline float64
@@ -158,7 +157,7 @@ func NewBase(g *taskgraph.Graph, opt Options) (*SchedulerBase, error) {
 	// Resolve the battery model exactly once per base — so the
 	// per-window hot path only ever sees a ready Model value. Invalid
 	// specs fail construction, before any scheduling work.
-	opt, err := opt.withDefaults()
+	opt, model, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +165,7 @@ func NewBase(g *taskgraph.Graph, opt Options) (*SchedulerBase, error) {
 	s := &Scheduler{
 		g:      g,
 		opt:    opt,
-		model:  opt.Model,
+		model:  model,
 		n:      n,
 		m:      m,
 		d:      make([][]float64, n),

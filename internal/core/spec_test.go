@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,41 +10,24 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// TestBatterySpecOptionsBitIdentical proves the declarative path is a
-// pure refactor of the model path: for every kind, scheduling with
-// Options.Battery produces a Result bit-identical (float bits, exact
-// order/assignment/iterations) to scheduling with the equivalent
-// Options.Model — and the default spec is bit-identical to zero
-// options, the pre-refactor configuration.
+// TestBatterySpecOptionsBitIdentical proves the default spec is
+// bit-identical (float bits, exact order/assignment/iterations) to zero
+// options. That every other spec resolves to exactly its constructor's
+// model is internal/battery's TestSpecResolveMatchesConstructors.
 func TestBatterySpecOptionsBitIdentical(t *testing.T) {
 	g := taskgraph.G3()
-	cases := []struct {
-		name  string
-		spec  battery.Spec
-		model battery.Model
-	}{
-		{"default-vs-zero-options", battery.DefaultSpec(), nil},
-		{"rakhmatov-beta", battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.5}, battery.NewRakhmatov(0.5)},
-		{"ideal", battery.Spec{Kind: battery.KindIdeal}, battery.Ideal{}},
-		{"peukert", battery.Spec{Kind: battery.KindPeukert, Exponent: 1.2, RefCurrent: 100}, battery.NewPeukert(1.2, 100)},
-		{"kibam", battery.Spec{Kind: battery.KindKiBaM, Capacity: 40000, WellFraction: 0.5, RateConstant: 0.1}, battery.NewKiBaM(40000, 0.5, 0.1)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			spec := c.spec
-			sSpec := mustScheduler(t, g, taskgraph.G3Deadline, Options{Battery: &spec})
-			sModel := mustScheduler(t, g, taskgraph.G3Deadline, Options{Model: c.model})
-			got, err := sSpec.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := sModel.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireBitIdentical(t, got, want)
-		})
-	}
+	t.Run("default-vs-zero-options", func(t *testing.T) {
+		spec := battery.DefaultSpec()
+		got, err := mustScheduler(t, g, taskgraph.G3Deadline, Options{Battery: &spec}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mustScheduler(t, g, taskgraph.G3Deadline, Options{}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, got, want)
+	})
 }
 
 // requireBitIdentical compares two results the equivalence suite's way:
@@ -83,42 +67,28 @@ func TestBatterySpecOptionErrors(t *testing.T) {
 		t.Fatalf("New with invalid spec: %v", err)
 	}
 
-	// The Beta shorthand routes through the same validated spec path,
-	// so a non-physical Beta is an error, not a silently-squared sign.
-	if _, err := New(g, taskgraph.G3Deadline, Options{Beta: -0.273}); err == nil || !strings.Contains(err.Error(), "\"beta\"") {
-		t.Fatalf("New with negative Beta: %v", err)
+	// A rakhmatov spec is validated too, so a non-physical beta is an
+	// error, not a silently-squared sign.
+	negative := battery.Spec{Kind: battery.KindRakhmatov, Beta: -0.273}
+	if _, err := New(g, taskgraph.G3Deadline, Options{Battery: &negative}); err == nil || !strings.Contains(err.Error(), "\"beta\"") {
+		t.Fatalf("New with negative beta: %v", err)
 	}
-	if _, err := (Options{Beta: math.NaN()}).ResolveModel(); err == nil {
-		t.Fatal("ResolveModel with NaN Beta should error")
-	}
-
-	// Battery and Model together are ambiguous.
-	spec := battery.DefaultSpec()
-	both := Options{Battery: &spec, Model: battery.Ideal{}}
-	if _, err := New(g, taskgraph.G3Deadline, both); err == nil || !strings.Contains(err.Error(), "at most one") {
-		t.Fatalf("New with Battery and Model: %v", err)
-	}
-	if _, err := both.ResolveModel(); err == nil {
-		t.Fatal("ResolveModel with Battery and Model should error")
+	nan := battery.Spec{Kind: battery.KindRakhmatov, Beta: math.NaN()}
+	if _, err := (Options{Battery: &nan}).ResolveModel(); err == nil {
+		t.Fatal("ResolveModel with NaN beta should error")
 	}
 }
 
 func TestOptionsBatterySpec(t *testing.T) {
 	// The zero options' spec is the default battery.
-	spec, ok := Options{}.BatterySpec()
-	if !ok || string(spec.AppendCanonical(nil)) != string(battery.DefaultSpec().AppendCanonical(nil)) {
-		t.Fatalf("zero options spec = %+v, %v", spec, ok)
+	spec := Options{}.BatterySpec()
+	if string(spec.AppendCanonical(nil)) != string(battery.DefaultSpec().AppendCanonical(nil)) {
+		t.Fatalf("zero options spec = %+v", spec)
 	}
-	// Beta shorthand and the equivalent rakhmatov spec canonicalize
-	// identically — the property that makes them share a cache entry.
-	viaBeta, _ := Options{Beta: 0.35}.BatterySpec()
-	viaSpec, _ := Options{Battery: &battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.35}}.BatterySpec()
-	if string(viaBeta.AppendCanonical(nil)) != string(viaSpec.AppendCanonical(nil)) {
-		t.Fatalf("beta shorthand %+v and spec %+v canonicalize differently", viaBeta, viaSpec)
-	}
-	// Opaque models have no spec.
-	if _, ok := (Options{Model: battery.Ideal{}}).BatterySpec(); ok {
-		t.Fatal("opaque Model must not report a spec")
+	// A set spec is reported canonicalized — the form caches hash.
+	got := Options{Battery: &battery.Spec{Kind: " Rakhmatov ", Beta: 0.35}}.BatterySpec()
+	if want := (battery.Spec{Kind: battery.KindRakhmatov, Beta: 0.35, Terms: battery.DefaultTerms}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("spec = %+v, want %+v", got, want)
 	}
 }
 

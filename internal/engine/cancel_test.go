@@ -5,56 +5,50 @@ import (
 	"errors"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/battery"
 	"repro/internal/core"
 	"repro/internal/taskgraph"
 )
 
-// blockingModel is a battery model that parks the first ChargeLost call
-// on a channel: the test learns exactly when a job is mid-computation
-// (started closes) and decides when it may proceed (release). Every
-// call delegates to the real Rakhmatov model, so jobs that complete
-// produce real, comparable results.
-type blockingModel struct {
+// blocker parks one named job through the engine's jobStarted seam:
+// the test learns exactly when that job is mid-flight (started closes)
+// and decides when it may proceed into its computation (release).
+type blocker struct {
 	started chan struct{}
 	release chan struct{}
-	once    sync.Once
-	inner   battery.Model
 }
 
-func newBlockingModel() *blockingModel {
-	return &blockingModel{
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-		inner:   battery.NewRakhmatov(battery.DefaultBeta),
-	}
-}
-
-func (m *blockingModel) ChargeLost(p battery.Profile, at float64) float64 {
-	m.once.Do(func() {
-		close(m.started)
-		<-m.release
+func blockJob(t *testing.T, name string) blocker {
+	b := blocker{started: make(chan struct{}), release: make(chan struct{})}
+	setJobStarted(t, func(job Job) {
+		if job.Name == name {
+			close(b.started)
+			<-b.release
+		}
 	})
-	return m.inner.ChargeLost(p, at)
+	return b
 }
 
-func (m *blockingModel) Name() string { return "blocking-test-model" }
+// setJobStarted installs fn as the engine's jobStarted seam for the
+// rest of the test.
+func setJobStarted(t *testing.T, fn func(Job)) {
+	jobStarted = fn
+	t.Cleanup(func() { jobStarted = nil })
+}
 
 // TestRunBatchContextCancelMidBatch is the cancellation contract in one
-// scenario: with one worker, job 0 completes, job 1 blocks mid-search,
-// and jobs 2+ wait their turn. Canceling then releasing the block must
-// (a) return promptly, (b) keep job 0's result bit-identical to an
-// uncancelled run's, (c) mark the mid-flight job 1 ErrCanceled, and
-// (d) mark every unstarted job ErrCanceled without running it.
+// scenario: with one worker, job 0 completes, job 1 is parked after it
+// started, and jobs 2+ wait their turn. Canceling then releasing the
+// block must (a) return promptly, (b) keep job 0's result bit-identical
+// to an uncancelled run's, (c) mark the mid-flight job 1 ErrCanceled,
+// and (d) mark every unstarted job ErrCanceled without running it.
 func TestRunBatchContextCancelMidBatch(t *testing.T) {
-	model := newBlockingModel()
+	block := blockJob(t, "mid-flight")
 	jobs := []Job{
 		{Name: "done", Graph: taskgraph.G2(), Deadline: 75},
-		{Name: "mid-flight", Graph: taskgraph.G3(), Deadline: 230, Options: core.Options{Model: model}},
+		{Name: "mid-flight", Graph: taskgraph.G3(), Deadline: 230},
 		{Name: "unstarted-1", Graph: taskgraph.G3(), Deadline: 230},
 		{Name: "unstarted-2", Graph: taskgraph.G2(), Deadline: 55},
 	}
@@ -65,15 +59,15 @@ func TestRunBatchContextCancelMidBatch(t *testing.T) {
 	resc := make(chan []Result, 1)
 	go func() { resc <- e.RunBatchContext(ctx, jobs) }()
 
-	// Job 1 signals it is inside ChargeLost — job 0 is already done
-	// (one worker, in dispatch order) and jobs 2+ have not started.
+	// Job 1 signals it has started — job 0 is already done (one
+	// worker, in dispatch order) and jobs 2+ have not started.
 	select {
-	case <-model.started:
+	case <-block.started:
 	case <-time.After(10 * time.Second):
-		t.Fatal("job 1 never reached the battery model")
+		t.Fatal("job 1 never started")
 	}
 	cancel()
-	close(model.release)
+	close(block.release)
 
 	var results []Result
 	select {
@@ -137,9 +131,9 @@ func describeResult(r Result) Result {
 // ErrCanceled with the deadline cause while the rest of the batch is
 // untouched.
 func TestJobTimeout(t *testing.T) {
-	model := newBlockingModel()
+	block := blockJob(t, "slow")
 	jobs := []Job{
-		{Name: "slow", Graph: taskgraph.G3(), Deadline: 230, Options: core.Options{Model: model}, Timeout: 20 * time.Millisecond},
+		{Name: "slow", Graph: taskgraph.G3(), Deadline: 230, Timeout: 20 * time.Millisecond},
 		{Name: "fine", Graph: taskgraph.G2(), Deadline: 75},
 	}
 	e := Engine{Workers: 1}
@@ -147,14 +141,14 @@ func TestJobTimeout(t *testing.T) {
 	go func() { resc <- e.RunBatchContext(context.Background(), jobs) }()
 
 	select {
-	case <-model.started:
+	case <-block.started:
 	case <-time.After(10 * time.Second):
-		t.Fatal("slow job never reached the battery model")
+		t.Fatal("slow job never started")
 	}
 	// Hold the job well past its 20ms budget, then let it observe the
 	// expired context.
 	time.Sleep(50 * time.Millisecond)
-	close(model.release)
+	close(block.release)
 
 	var results []Result
 	select {

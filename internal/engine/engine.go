@@ -226,10 +226,16 @@ dispatch:
 	wg.Wait()
 }
 
+// jobStarted, when non-nil, is called by runJob for every job that
+// starts, inside its recover scope and once its timeout context is
+// armed. It is a test seam for parking, timing out or panicking one job
+// mid-batch; production code never sets it.
+var jobStarted func(job Job)
+
 // runJob executes one job, converting panics into per-job errors so a
-// misbehaving custom battery model cannot take the batch down, and
-// context errors into ErrCanceled so front ends report cancellation
-// distinctly from scheduling failures.
+// bug in one job's computation cannot take the batch down, and context
+// errors into ErrCanceled so front ends report cancellation distinctly
+// from scheduling failures.
 func (e *Engine) runJob(ctx context.Context, i int, job Job, restartWorkers int) (res Result) {
 	res = Result{Index: i, Name: job.Name}
 	defer func() {
@@ -247,6 +253,9 @@ func (e *Engine) runJob(ctx context.Context, i int, job Job, restartWorkers int)
 		// Dispatched in the same instant the batch was canceled.
 		res.Err = CanceledError(err)
 		return res
+	}
+	if jobStarted != nil {
+		jobStarted(job)
 	}
 	strategy, err := CanonicalStrategy(job.Strategy)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/battery"
 	"repro/internal/core"
 	"repro/internal/taskgraph"
 )
@@ -113,17 +112,17 @@ func TestRunBatchPerJobErrors(t *testing.T) {
 	}
 }
 
-// panicModel is a battery model that panics, to prove job isolation.
-type panicModel struct{}
-
-func (panicModel) ChargeLost(battery.Profile, float64) float64 { panic("boom") }
-func (panicModel) Name() string                                { return "panic" }
-
-// TestRunBatchRecoversPanics: a panicking model fails only its own job.
+// TestRunBatchRecoversPanics: a job that panics mid-flight fails only
+// itself.
 func TestRunBatchRecoversPanics(t *testing.T) {
+	setJobStarted(t, func(job Job) {
+		if job.Name == "panic" {
+			panic("boom")
+		}
+	})
 	g := taskgraph.G3()
 	jobs := []Job{
-		{Graph: g, Deadline: taskgraph.G3Deadline, Options: core.Options{Model: panicModel{}}},
+		{Name: "panic", Graph: g, Deadline: taskgraph.G3Deadline},
 		{Graph: g, Deadline: taskgraph.G3Deadline},
 	}
 	results := RunBatch(jobs, 2)

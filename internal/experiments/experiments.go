@@ -567,21 +567,23 @@ func IdleExtension(g *taskgraph.Graph, deadlines []float64) (*report.Table, erro
 // choice changes both the chosen schedule and the predicted cost.
 func ModelComparison(g *taskgraph.Graph, deadline float64) (*report.Table, error) {
 	_, iMax := g.CurrentRange()
-	models := []battery.Model{
-		battery.NewRakhmatov(Beta),
-		battery.Ideal{},
-		battery.NewPeukert(1.2, iMax/4),
-		battery.NewKiBaM(1e6, 0.6, 0.05),
+	specs := []battery.Spec{
+		{Kind: battery.KindRakhmatov, Beta: Beta},
+		{Kind: battery.KindIdeal},
+		{Kind: battery.KindPeukert, Exponent: 1.2, RefCurrent: iMax / 4},
+		{Kind: battery.KindKiBaM, Capacity: 1e6, WellFraction: 0.6, RateConstant: 0.05},
 	}
+	models := make([]battery.Model, len(specs))
 	t := &report.Table{
 		Title:   fmt.Sprintf("Cross-model comparison @ %g min (rows: model optimized for; columns: model evaluated under)", deadline),
 		Headers: []string{"Optimized under"},
 	}
-	for _, m := range models {
-		t.Headers = append(t.Headers, m.Name())
+	for i, spec := range specs {
+		models[i] = spec.MustResolve()
+		t.Headers = append(t.Headers, models[i].Name())
 	}
-	for _, opt := range models {
-		s, err := core.New(g, deadline, core.Options{Model: opt})
+	for i := range specs {
+		s, err := core.New(g, deadline, core.Options{Battery: &specs[i]})
 		if err != nil {
 			return nil, err
 		}
@@ -589,7 +591,7 @@ func ModelComparison(g *taskgraph.Graph, deadline float64) (*report.Table, error
 		if err != nil {
 			return nil, err
 		}
-		cells := []interface{}{opt.Name()}
+		cells := []interface{}{models[i].Name()}
 		p := res.Schedule.Profile(g)
 		for _, eval := range models {
 			cells = append(cells, report.F0(eval.ChargeLost(p, p.TotalTime())))

@@ -161,9 +161,7 @@ type metrics struct {
 	// modelKinds counts served jobs per battery-model kind (the
 	// /metrics "model_kinds" object), indexed parallel to specKinds
 	// and sized from it in New, so a future kind cannot overflow it.
-	// Jobs with a deprecated opaque model land in modelOpaque instead.
-	modelKinds  []atomic.Uint64
-	modelOpaque atomic.Uint64
+	modelKinds []atomic.Uint64
 }
 
 // specKinds fixes the kind→counter index order once at startup (also
@@ -177,11 +175,7 @@ func (m *metrics) served(job engine.Job, res engine.Result) {
 	if errors.Is(res.Err, engine.ErrCanceled) {
 		m.canceled.Add(1)
 	}
-	spec, ok := job.Options.BatterySpec()
-	if !ok {
-		m.modelOpaque.Add(1)
-		return
-	}
+	spec := job.Options.BatterySpec()
 	for i, k := range specKinds {
 		if k == spec.Kind {
 			m.modelKinds[i].Add(1)
@@ -477,9 +471,8 @@ type MetricsSnapshot struct {
 	// done/expired/aborted terminal counters.
 	JobsAsync queue.Stats `json:"jobs_async"`
 	// ModelKinds counts served jobs per battery-model kind (rakhmatov,
-	// ideal, peukert, kibam, calibrated; "opaque" for deprecated
-	// Options.Model jobs from embedding callers). Kinds never served
-	// are omitted.
+	// ideal, peukert, kibam, calibrated). Kinds never served are
+	// omitted.
 	ModelKinds map[string]uint64 `json:"model_kinds,omitempty"`
 	// InFlight is how many sync requests are running scheduling work.
 	InFlight int64        `json:"in_flight"`
@@ -512,9 +505,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		if n := s.metrics.modelKinds[i].Load(); n > 0 {
 			kinds[kind] = n
 		}
-	}
-	if n := s.metrics.modelOpaque.Load(); n > 0 {
-		kinds["opaque"] = n
 	}
 	if len(kinds) > 0 {
 		snap.ModelKinds = kinds

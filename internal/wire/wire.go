@@ -49,10 +49,11 @@ type Job struct {
 	// Strategy selects the algorithm; empty means "iterative". See
 	// engine.Strategies for the accepted names.
 	Strategy string `json:"strategy,omitempty"`
-	// Beta overrides the Rakhmatov diffusion parameter (0 = paper's
-	// 0.273 min^-1/2). Mutually exclusive with Battery, which subsumes
-	// it ({"beta":b} ≡ {"battery":{"kind":"rakhmatov","beta":b}}, down
-	// to sharing a cache entry).
+	// Beta is shorthand for a Rakhmatov battery with this diffusion
+	// parameter: ToEngine turns a non-zero value into the spec
+	// {"kind":"rakhmatov","beta":b}, so the two spellings share a cache
+	// entry. 0 selects no battery (the default applies). Mutually
+	// exclusive with Battery.
 	Beta float64 `json:"beta,omitempty"`
 	// Battery declaratively selects the battery model the job is
 	// costed under: a kind (rakhmatov | ideal | peukert | kibam |
@@ -283,13 +284,12 @@ func DecodeJobs(body []byte) (wjobs []Job, jobs []engine.Job, errs []error) {
 }
 
 // ApplyDefaultBattery gives job the default battery spec when it
-// selected no battery model of its own: no "battery" object and no
-// "beta" shorthand (which resolves through Options.Beta). A nil spec
-// leaves every job as it is, as does a deprecated opaque model (which
-// no wire job can carry). It is the one definition of the -battery
-// flag both battbatch and battschedd offer.
+// selected no battery model of its own (ToEngine has already turned a
+// "beta" shorthand into a spec). A nil spec leaves every job as it is.
+// It is the one definition of the -battery flag both battbatch and
+// battschedd offer.
 func ApplyDefaultBattery(job *engine.Job, spec *battery.Spec) {
-	if spec != nil && job.Options.Battery == nil && job.Options.Beta == 0 && job.Options.Model == nil {
+	if job.Options.Battery == nil {
 		job.Options.Battery = spec
 	}
 }
@@ -360,18 +360,24 @@ func (j Job) label() string {
 	return "(unnamed)"
 }
 
-// ToEngine validates the job and resolves its graph into an engine job.
-// It is the conversion boundary the wire schema exists for, so battlint
-// checks that every exported wire.Job field is read here: a field this
-// function drops is a knob the API silently ignores.
+// ToEngine validates the job and resolves its graph into an engine job;
+// a non-zero "beta" shorthand becomes the equivalent rakhmatov battery
+// spec here, so nothing past the wire sees it. It is the conversion
+// boundary the wire schema exists for, so battlint checks that every
+// exported wire.Job field is read here: a field this function drops is
+// a knob the API silently ignores.
 //
 //battlint:canonical Job
 func (j Job) ToEngine() (engine.Job, error) {
+	spec := j.Battery
+	if j.Beta != 0 {
+		spec = &battery.Spec{Kind: battery.KindRakhmatov, Beta: j.Beta}
+	}
 	job := engine.Job{
 		Name:     j.Name,
 		Deadline: j.Deadline,
 		Strategy: j.Strategy,
-		Options:  core.Options{Beta: j.Beta, Battery: j.Battery, Approx: j.Approx},
+		Options:  core.Options{Battery: spec, Approx: j.Approx},
 		MultiStart: core.MultiStartOptions{
 			Restarts: j.Restarts,
 			Seed:     j.Seed,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/battery"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/taskgraph"
@@ -271,6 +272,10 @@ func TestDecodeJobsLines(t *testing.T) {
 func TestApplyDefaultBattery(t *testing.T) {
 	def := &battery.Spec{Kind: battery.KindIdeal}
 	own := &battery.Spec{Kind: battery.KindKiBaM}
+	viaBeta, err := (Job{Fixture: "g3", Deadline: 230, Beta: 0.5}).ToEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		job  engine.Job
@@ -278,7 +283,7 @@ func TestApplyDefaultBattery(t *testing.T) {
 	}{
 		{"none", engine.Job{}, def},
 		{"battery", engine.Job{Options: core.Options{Battery: own}}, own},
-		{"beta", engine.Job{Options: core.Options{Beta: 0.5}}, nil},
+		{"beta", viaBeta, viaBeta.Options.Battery},
 	} {
 		ApplyDefaultBattery(&tc.job, def)
 		if tc.job.Options.Battery != tc.want {
@@ -288,5 +293,59 @@ func TestApplyDefaultBattery(t *testing.T) {
 		if tc.job.Options.Battery != tc.want {
 			t.Errorf("%s: nil default changed the battery", tc.name)
 		}
+	}
+}
+
+// TestBetaShorthandSharesCacheKey: ToEngine reads "beta" into the
+// equivalent rakhmatov spec, so each shorthand job lands on the same
+// cache entry as its spelled-out battery — and "beta":0 selects no
+// battery at all, leaving the default to the front end.
+func TestBetaShorthandSharesCacheKey(t *testing.T) {
+	key := func(line string) string {
+		t.Helper()
+		j, err := DecodeJob([]byte(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := j.ToEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, ok := cache.Key(job)
+		if !ok {
+			t.Fatalf("%s: not cacheable", line)
+		}
+		return k
+	}
+	for _, tc := range []struct{ name, beta, spec string }{
+		{"beta-0.35",
+			`{"fixture":"g3","deadline":230,"beta":0.35}`,
+			`{"fixture":"g3","deadline":230,"battery":{"kind":"rakhmatov","beta":0.35}}`},
+		{"beta-0.35-terms-spelled-out",
+			`{"fixture":"g3","deadline":230,"beta":0.35}`,
+			`{"fixture":"g3","deadline":230,"battery":{"kind":"rakhmatov","beta":0.35,"terms":10}}`},
+		{"paper-beta",
+			`{"fixture":"g3","deadline":230,"beta":0.273}`,
+			`{"fixture":"g3","deadline":230,"battery":{"kind":"rakhmatov"}}`},
+		{"paper-beta-vs-no-battery",
+			`{"fixture":"g3","deadline":230,"beta":0.273}`,
+			`{"fixture":"g3","deadline":230}`},
+		{"multistart",
+			`{"fixture":"g2","deadline":75,"strategy":"multistart","restarts":4,"beta":0.5}`,
+			`{"fixture":"g2","deadline":75,"strategy":"multistart","restarts":4,"battery":{"kind":"rakhmatov","beta":0.5}}`},
+	} {
+		if kb, ks := key(tc.beta), key(tc.spec); kb != ks {
+			t.Errorf("%s: shorthand key %s != spec key %s", tc.name, kb, ks)
+		}
+	}
+	if key(`{"fixture":"g3","deadline":230,"beta":0.35}`) == key(`{"fixture":"g3","deadline":230}`) {
+		t.Error("beta 0.35 must not share the default battery's entry")
+	}
+	zero, err := (Job{Fixture: "g3", Deadline: 230, Beta: 0}).ToEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Options.Battery != nil {
+		t.Errorf(`"beta":0 must select no battery, got %v`, zero.Options.Battery)
 	}
 }

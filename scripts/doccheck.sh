@@ -10,9 +10,12 @@
 #   - every flag the `go run ./cmd/battschedd ...` block in docs/API.md
 #     names is one `battschedd -h` lists, so a deleted or renamed flag
 #     cannot linger in the docs.
+#   - every `Options.<Field>` the checked files name is a field that
+#     `go doc repro/internal/core Options` lists, so a deleted scheduler
+#     option cannot linger in the docs either.
 #
-# Run from anywhere; exits non-zero listing every broken link and every
-# unknown flag.
+# Run from anywhere; exits non-zero listing every broken link, every
+# unknown flag and every unknown Options field.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -62,8 +65,29 @@ for flag in $documented; do
   fi
 done
 
+# Scheduler options named in the docs: Options.<Field>, with "Options"
+# a whole word (so MultiStartOptions.Workers is not read as one).
+fields=$(go doc repro/internal/core Options 2>&1 |
+  awk '/^type Options struct/ {on=1; next} on && /^}/ {on=0} on' |
+  sed -nE 's/^\t([A-Z][A-Za-z0-9_]*)[[:space:]].*/\1/p' | sort -u)
+if [ -z "$fields" ]; then
+  echo "doccheck: could not read the fields of core.Options from go doc"
+  fail=1
+fi
+named=0
+for md in "${files[@]}"; do
+  [ -f "$md" ] || continue
+  while IFS= read -r field; do
+    named=$((named + 1))
+    if ! printf '%s\n' "$fields" | grep -qx -- "$field"; then
+      echo "doccheck: $md names Options.$field, which core.Options does not have"
+      fail=1
+    fi
+  done < <(grep -oE '(^|[^A-Za-z0-9_])Options\.[A-Z][A-Za-z0-9_]*' "$md" | sed -E 's/.*Options\.//')
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "doccheck: FAILED"
   exit 1
 fi
-echo "doccheck: all doc links resolve (${#files[@]} files checked), battschedd flags match docs/API.md ($(echo $documented | wc -w) flags)"
+echo "doccheck: all doc links resolve (${#files[@]} files checked), battschedd flags match docs/API.md ($(echo $documented | wc -w) flags), Options fields named in docs exist ($named mentions)"
