@@ -10,20 +10,16 @@
 // Usage:
 //
 //	battload [-addr http://127.0.0.1:8347 | -self] [-mode poll|stream]
-//	         [-n 1000] [-c 64 | -sweep 8,64,512] [-rate 0]
+//	         [-n 1000] [-c 64] [-rate 0]
 //	         [-fixture g3] [-deadline-min 100] [-deadline-max 230]
 //	         [-priorities 0:7,5:2,9:1] [-dup-every 0] [-ttl 0] [-timeout 0]
 //	         [-resilient] [-verify-bytes]
 //	         [-self-faults schedule] [-self-store dir] [-min-faults 0]
 //	         [-self-breaker-threshold 0] [-self-breaker-window 0] [-self-breaker-probe 0]
 //	         [-slo-e2e-p99 0] [-slo-submit-p99 0] [-slo-poll-p99 0]
-//	         [-slo-error-rate -1] [-assert] [-o report.json] [-bench]
+//	         [-slo-error-rate -1] [-assert] [-o report.json] [-cpuprofile cpu.pprof]
 //
 // Examples:
-//
-//	# Saturation curve against a running daemon, snapshot via benchjson:
-//	battload -addr http://127.0.0.1:8347 -sweep 64,256,1024 -n 4000 -bench \
-//	    | go run ./scripts/benchjson -o BENCH_$(date +%F).load.json
 //
 //	# Self-contained SLO smoke (starts an in-process battschedd):
 //	battload -self -n 300 -c 64 -slo-e2e-p99 10s -slo-error-rate 0 -assert
@@ -44,12 +40,12 @@
 // disk errors, breaker state and trips; with -assert, -min-faults
 // turns "the chaos leg actually ran" into a checked claim.
 //
-// The human-readable summary goes to stderr; stdout carries only the
-// -bench lines (go test -bench format, pipeable into scripts/benchjson)
-// so the two never interleave. Exit status: 0 clean, 1 when -assert is
-// set and the SLO was violated or the serving contract broke (lost or
-// double-completed jobs — contract breaks fail even without SLO flags),
-// 2 for unusable flags.
+// The human-readable summary goes to stderr; -o writes the full JSON
+// report. battload checks the serving contract and SLOs; perfbench/ is
+// the repository's serving benchmark. Exit status: 0 clean, 1 when
+// -assert is set and the SLO was violated or the serving contract broke
+// (lost or double-completed jobs — contract breaks fail even without SLO
+// flags), 2 for unusable flags.
 package main
 
 import (
@@ -63,8 +59,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -80,11 +74,10 @@ func main() {
 		addr = flag.String("addr", "http://127.0.0.1:8347", "base URL of the battschedd under test")
 		self = flag.Bool("self", false, "start an in-process battschedd and test that (ignores -addr)")
 
-		mode  = flag.String("mode", "poll", "result consumption: poll | stream")
-		n     = flag.Int("n", 1000, "total submissions per stage")
-		c     = flag.Int("c", 64, "concurrent virtual clients")
-		sweep = flag.String("sweep", "", "comma list of concurrency levels for a saturation curve (overrides -c)")
-		rate  = flag.Float64("rate", 0, "open-loop target arrival rate per second (0 = closed loop)")
+		mode = flag.String("mode", "poll", "result consumption: poll | stream")
+		n    = flag.Int("n", 1000, "total submissions")
+		c    = flag.Int("c", 64, "concurrent virtual clients")
+		rate = flag.Float64("rate", 0, "open-loop target arrival rate per second (0 = closed loop)")
 
 		fixture  = flag.String("fixture", "g3", "built-in graph every job schedules")
 		dmin     = flag.Float64("deadline-min", 100, "deadline spread lower bound (minutes)")
@@ -105,8 +98,7 @@ func main() {
 		sloErrRate = flag.Float64("slo-error-rate", -1, "SLO: max error fraction of attempts (negative = unchecked)")
 		assert     = flag.Bool("assert", false, "exit 1 on SLO violation or contract break")
 
-		out   = flag.String("o", "", "write the full JSON report here")
-		bench = flag.Bool("bench", false, "print go-bench-format lines to stdout (pipe into scripts/benchjson)")
+		out = flag.String("o", "", "write the full JSON report here")
 
 		selfQueue   = flag.Int("self-queue", 0, "with -self: queue capacity (0 = default)")
 		selfWorkers = flag.Int("self-queue-workers", 0, "with -self: queue worker count (0 = default)")
@@ -131,9 +123,8 @@ func main() {
 		logger.Println("battload:", err)
 		os.Exit(2)
 	}
-	levels, err := parseSweep(*sweep, *c)
-	if err != nil {
-		logger.Println("battload:", err)
+	if *c <= 0 {
+		logger.Printf("battload: -c must be positive, got %d", *c)
 		os.Exit(2)
 	}
 
@@ -213,6 +204,7 @@ func main() {
 		BaseURL:        base,
 		Mode:           loadgen.Mode(*mode),
 		Jobs:           *n,
+		Concurrency:    *c,
 		Rate:           *rate,
 		PollInterval:   *pollInterval,
 		NoRetry429:     *noRetry,
@@ -241,7 +233,7 @@ func main() {
 		}
 		defer f.Close()
 	}
-	results, err := loadgen.Sweep(ctx, cfg, levels)
+	res, err := loadgen.Run(ctx, cfg)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 		logger.Printf("battload: wrote CPU profile to %s", *cpuprofile)
@@ -251,16 +243,14 @@ func main() {
 	}
 
 	failed := false
-	for _, r := range results {
-		logger.Println(summarize(r))
-		if verr := r.Verify(); verr != nil {
-			logger.Println("battload: CONTRACT VIOLATION:", verr)
-			failed = true
-		}
-		for _, v := range r.Violations {
-			logger.Println("battload: SLO VIOLATION:", v)
-			failed = true
-		}
+	logger.Println(summarize(res))
+	if verr := res.Verify(); verr != nil {
+		logger.Println("battload: CONTRACT VIOLATION:", verr)
+		failed = true
+	}
+	for _, v := range res.Violations {
+		logger.Println("battload: SLO VIOLATION:", v)
+		failed = true
 	}
 
 	// The chaos ledger: how many faults actually fired, and what the
@@ -293,7 +283,7 @@ func main() {
 	}
 
 	if *out != "" {
-		doc := map[string]any{"results": results}
+		doc := map[string]any{"results": []*loadgen.Result{res}}
 		if chaos != nil {
 			doc["chaos"] = chaos
 		}
@@ -303,34 +293,9 @@ func main() {
 		}
 		logger.Printf("battload: wrote %s", *out)
 	}
-	if *bench {
-		if err := loadgen.WriteBench(os.Stdout, results...); err != nil {
-			logger.Fatalln("battload:", err)
-		}
-	}
 	if failed && *assert {
 		os.Exit(1)
 	}
-}
-
-// parseSweep resolves the concurrency levels: the sweep list, or the
-// single -c level.
-func parseSweep(s string, c int) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		if c <= 0 {
-			return nil, fmt.Errorf("-c must be positive, got %d", c)
-		}
-		return []int{c}, nil
-	}
-	var levels []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("-sweep entry %q must be a positive integer", part)
-		}
-		levels = append(levels, v)
-	}
-	return levels, nil
 }
 
 // summarize renders one result as the stderr progress line.

@@ -250,28 +250,6 @@ func TestLowestPowerFeasible(t *testing.T) {
 	}
 }
 
-func TestDecreasingCurrentOrder(t *testing.T) {
-	g := taskgraph.G3()
-	s, err := LowestPowerFeasible(g, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := DecreasingCurrentOrder(g, s)
-	if err := d.ValidateDeadline(g, 150); err != nil {
-		t.Fatal(err)
-	}
-	// Same assignment, so the same duration and energy.
-	if d.Duration(g) != s.Duration(g) || d.Energy(g) != s.Energy(g) {
-		t.Fatal("reordering changed assignment-derived quantities")
-	}
-	// The reordered schedule should cost no more under the RV model
-	// (non-increasing currents are optimal for independent tasks; with
-	// precedence it is a heuristic but must hold on this instance).
-	if d.Cost(g, model()) > s.Cost(g, model())+1e-6 {
-		t.Errorf("decreasing-current order cost %f above original %f", d.Cost(g, model()), s.Cost(g, model()))
-	}
-}
-
 func TestOptimalSmallChain(t *testing.T) {
 	// 2 tasks × 2 points: enumerate by hand.
 	var b taskgraph.Builder
@@ -418,13 +396,5 @@ func TestTimeScale(t *testing.T) {
 	ints := b.MustBuild()
 	if got := timeScale(ints, 10, 1000); got != 1 {
 		t.Fatalf("integer time scale = %d, want 1", got)
-	}
-}
-
-func TestSortedByID(t *testing.T) {
-	in := []int{3, 1, 2}
-	out := SortedByID(in)
-	if out[0] != 1 || out[2] != 3 || in[0] != 3 {
-		t.Fatalf("SortedByID = %v (in %v)", out, in)
 	}
 }

@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"sort"
-
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -73,29 +71,4 @@ func LowestPowerFeasible(g *taskgraph.Graph, deadline float64) (*sched.Schedule,
 		assign[bestID] = j - 1
 	}
 	return &sched.Schedule{Order: order, Assignment: assign}, nil
-}
-
-// DecreasingCurrentOrder re-sequences an existing schedule so tasks run in
-// non-increasing order of their assigned currents wherever precedence
-// allows — the provably best order for independent tasks under the
-// Rakhmatov model (paper Section 3). Assignment is unchanged.
-func DecreasingCurrentOrder(g *taskgraph.Graph, s *sched.Schedule) *sched.Schedule {
-	n := g.N()
-	cur := make([]float64, n)
-	for i := 0; i < n; i++ {
-		id := g.IDAt(i)
-		cur[i] = g.TaskAt(i).Points[s.Assignment[id]].Current
-	}
-	order := listScheduleByWeight(g, cur)
-	out := s.Clone()
-	out.Order = order
-	return out
-}
-
-// SortedByID returns the task IDs ascending — a helper for deterministic
-// reporting.
-func SortedByID(ids []int) []int {
-	out := append([]int(nil), ids...)
-	sort.Ints(out)
-	return out
 }

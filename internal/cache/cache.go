@@ -136,27 +136,21 @@ type Stats struct {
 // New returns an empty cache bounded at maxEntries results (0 means
 // DefaultMaxEntries).
 func New(maxEntries int) *Cache {
-	return NewWithStore(maxEntries, nil)
+	return NewTiered(maxEntries, nil, BreakerConfig{})
 }
 
-// NewWithStore is New with a disk tier layered under the LRU: memory
+// NewTiered is New with a disk tier layered under the LRU: memory
 // misses consult disk before computing (promoting hits into memory),
 // and computed results are written through, so the cache's contents
 // survive a restart of the process that owns disk's directory. A nil
 // disk is exactly New. The disk tier is strictly best-effort — every
 // disk failure degrades to a miss or a skipped write (counted in
-// Stats.DiskErrors), never an error or a wrong result. The default
-// circuit breaker (see BreakerConfig) guards the tier; use NewTiered to
-// tune or disable it.
-func NewWithStore(maxEntries int, disk *store.Store) *Cache {
-	return NewTiered(maxEntries, disk, BreakerConfig{})
-}
-
-// NewTiered is NewWithStore with explicit circuit-breaker tuning: when
-// the disk tier returns bc.Threshold errors within bc.Window, the
-// breaker opens and the cache serves memory-only (disk reads bypassed,
-// writes skipped — both counted in Stats.DiskSkipped) until a half-open
-// probe after bc.Probe succeeds. bc.Threshold < 0 disables the breaker.
+// Stats.DiskErrors), never an error or a wrong result. A circuit
+// breaker guards the tier: when it returns bc.Threshold errors within
+// bc.Window, the breaker opens and the cache serves memory-only (disk
+// reads bypassed, writes skipped — both counted in Stats.DiskSkipped)
+// until a half-open probe after bc.Probe succeeds. A zero bc is the
+// default breaker (see BreakerConfig); bc.Threshold < 0 disables it.
 func NewTiered(maxEntries int, disk *store.Store, bc BreakerConfig) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries

@@ -258,6 +258,11 @@ func TestEngineMatchesUncached(t *testing.T) {
 		}
 		for pass := 0; pass < 2; pass++ {
 			got, hits := ce.RunBatch(jobs)
+			// Every computation, the multistart one included, gave back
+			// the one slot it took.
+			if n := len(ce.Gate); n != 0 {
+				t.Fatalf("workers=%d pass=%d: %d Gate slot(s) still held", workers, pass, n)
+			}
 			for i := range want {
 				if !resultsEquivalent(want[i], got[i]) {
 					t.Fatalf("workers=%d pass=%d job %d: cached result differs:\nwant %+v\ngot  %+v",

@@ -149,6 +149,38 @@ func TestRunBatchContextCachedCancel(t *testing.T) {
 	}
 }
 
+// TestGateWaitCanceled: a computation queued behind a full Gate gives up
+// with ErrCanceled when its ctx is done. It never computes — every slot
+// stays with its holder — and it stores nothing.
+func TestGateWaitCanceled(t *testing.T) {
+	c := New(0)
+	e := Engine{Cache: c, Workers: 1, Gate: make(chan struct{}, 2)}
+	e.Gate <- struct{}{}
+	e.Gate <- struct{}{}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan engine.Result, 1)
+	go func() {
+		res, _ := e.RunContext(ctx, g3Job(230))
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if !errors.Is(res.Err, engine.ErrCanceled) || res.Schedule != nil {
+			t.Fatalf("res = %+v, want a bare ErrCanceled", res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("canceled request still waiting for a Gate slot")
+	}
+	if n := len(e.Gate); n != 2 {
+		t.Fatalf("Gate holds %d slot(s), want the 2 taken before the call", n)
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("canceled request stored %d entries, want 0", n)
+	}
+}
+
 // TestWaiterTimeoutDetaches: Timeout is excluded from the cache key, so
 // a budgeted job can dedup onto a budget-free leader — and its budget
 // must still hold: the waiter detaches with ErrCanceled when its

@@ -25,10 +25,9 @@ type Engine struct {
 	// A server handling many requests, each with its own worker pool,
 	// uses one shared Gate so total scheduling concurrency stays near
 	// the gate's capacity instead of requests × Workers. A gated
-	// computation also sizes its multistart restart fan-out by the idle
-	// gate capacity it can claim (overriding Job.MultiStart.Workers,
-	// which is result-neutral), so the bound holds through the restart
-	// level too.
+	// computation holds exactly one slot and runs its multistart
+	// restarts in sequence (overriding Job.MultiStart.Workers, which is
+	// result-neutral), so the bound holds through the restart level too.
 	Gate chan struct{}
 }
 
@@ -53,8 +52,9 @@ func (e *Engine) Run(job engine.Job) (engine.Result, bool) {
 // result. Cache hits still answer instantly — serving stored bytes
 // costs nothing worth canceling.
 func (e *Engine) RunContext(ctx context.Context, job engine.Job) (engine.Result, bool) {
-	// A lone job may fan its multistart restarts over the whole pool,
-	// mirroring engine.RunBatch's bound-splitting for a one-job batch.
+	// Ungated, a lone job may fan its multistart restarts over the whole
+	// pool, mirroring engine.RunBatch's bound-splitting for a one-job
+	// batch.
 	res, hit := e.run(ctx, job, e.workers())
 	res.Index, res.Name = 0, job.Name
 	return res, hit
@@ -125,15 +125,13 @@ func (e *Engine) run(ctx context.Context, job engine.Job, restartWorkers int) (e
 // pinning the multistart fan-out first so a single-job engine batch
 // cannot collapse it to 1.
 //
-// Under a Gate, the computation blocks for one slot and then widens its
-// restart fan-out only with whatever idle capacity it can claim without
-// waiting — so a lone request on an idle server still fans out fully,
-// while concurrent requests each hold ~one slot and run their restarts
-// sequentially. Total scheduling goroutines stay at ~cap(Gate) instead
-// of requests × restartWorkers; since restart fan-out is result-neutral
-// (bit-identical for any Workers), clamping it here changes wall-clock
-// only. A request canceled while queued for its slot gives up with an
-// engine.ErrCanceled result instead of holding its place in line.
+// Under a Gate, the computation blocks for one slot and runs its
+// restarts sequentially on it, so total scheduling goroutines stay at
+// cap(Gate) instead of requests × restartWorkers; restart fan-out is
+// result-neutral (bit-identical for any Workers), so this changes
+// wall-clock only. A request canceled while queued for its slot gives
+// up with an engine.ErrCanceled result instead of holding its place in
+// line.
 func (e *Engine) compute(ctx context.Context, job engine.Job, restartWorkers int) engine.Result {
 	if e.Gate != nil {
 		select {
@@ -141,31 +139,8 @@ func (e *Engine) compute(ctx context.Context, job engine.Job, restartWorkers int
 		case <-ctx.Done():
 			return engine.Result{Err: engine.CanceledError(ctx.Err())}
 		}
-		held := 1
-		// Only a multistart job can use extra slots (every other
-		// strategy runs one goroutine), so only it widens — a greedy
-		// claim here would serialize concurrent cheap requests behind
-		// one holder of the whole gate.
-		if s, err := engine.CanonicalStrategy(job.Strategy); err == nil && s == engine.StrategyMultiStart {
-			for held < restartWorkers {
-				gotSlot := false
-				select {
-				case e.Gate <- struct{}{}:
-					gotSlot = true
-				default:
-				}
-				if !gotSlot {
-					break
-				}
-				held++
-			}
-			job.MultiStart.Workers = held
-		}
-		defer func() {
-			for i := 0; i < held; i++ {
-				<-e.Gate
-			}
-		}()
+		defer func() { <-e.Gate }()
+		job.MultiStart.Workers = 1
 	} else if job.MultiStart.Workers == 0 {
 		job.MultiStart.Workers = restartWorkers
 	}

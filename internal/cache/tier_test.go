@@ -47,7 +47,7 @@ func TestTierWriteThroughAndDiskHit(t *testing.T) {
 	dir := t.TempDir()
 	want := tierResult(42)
 
-	c1 := NewWithStore(0, openTier(t, dir))
+	c1 := NewTiered(0, openTier(t, dir), BreakerConfig{})
 	got, hit := c1.Do(tierKey(0), func() engine.Result { return want })
 	if hit || got.Cost != want.Cost {
 		t.Fatalf("first Do: hit=%v res=%+v", hit, got)
@@ -56,7 +56,7 @@ func TestTierWriteThroughAndDiskHit(t *testing.T) {
 		t.Fatalf("after compute: %+v", st)
 	}
 
-	c2 := NewWithStore(0, openTier(t, dir))
+	c2 := NewTiered(0, openTier(t, dir), BreakerConfig{})
 	computed := false
 	got, hit = c2.Do(tierKey(0), func() engine.Result { computed = true; return tierResult(-1) })
 	if computed {
@@ -85,10 +85,10 @@ func TestTierWriteThroughAndDiskHit(t *testing.T) {
 // corrupt the promoted memory canon.
 func TestTierDiskHitIsDeepCopy(t *testing.T) {
 	dir := t.TempDir()
-	c1 := NewWithStore(0, openTier(t, dir))
+	c1 := NewTiered(0, openTier(t, dir), BreakerConfig{})
 	c1.Do(tierKey(0), func() engine.Result { return tierResult(7) })
 
-	c2 := NewWithStore(0, openTier(t, dir))
+	c2 := NewTiered(0, openTier(t, dir), BreakerConfig{})
 	got, _ := c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) })
 	got.Schedule.Order[0] = -99
 	again, hit := c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) })
@@ -101,7 +101,7 @@ func TestTierDiskHitIsDeepCopy(t *testing.T) {
 // either tier.
 func TestTierCanceledNotPersisted(t *testing.T) {
 	st := openTier(t, t.TempDir())
-	c := NewWithStore(0, st)
+	c := NewTiered(0, st, BreakerConfig{})
 	res, hit := c.Do(tierKey(0), func() engine.Result {
 		return engine.Result{Err: engine.CanceledError(context.Canceled)}
 	})
@@ -120,22 +120,22 @@ func TestTierCanceledNotPersisted(t *testing.T) {
 // the canon and survive the tier boundary like any other result.
 func TestTierErrorResultsPersist(t *testing.T) {
 	dir := t.TempDir()
-	c1 := NewWithStore(0, openTier(t, dir))
+	c1 := NewTiered(0, openTier(t, dir), BreakerConfig{})
 	c1.Do(tierKey(0), func() engine.Result {
 		return engine.Result{Strategy: "iterative", Err: errors.New("core: infeasible deadline")}
 	})
 
-	c2 := NewWithStore(0, openTier(t, dir))
+	c2 := NewTiered(0, openTier(t, dir), BreakerConfig{})
 	got, hit := c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) })
 	if !hit || got.Err == nil || got.Err.Error() != "core: infeasible deadline" {
 		t.Fatalf("error result after restart: hit=%v res=%+v", hit, got)
 	}
 }
 
-// TestTierNilStoreIsMemoryOnly: NewWithStore(n, nil) behaves exactly
-// like New(n) and reports zero disk counters.
+// TestTierNilStoreIsMemoryOnly: a nil disk tier behaves exactly like
+// New(n) and reports zero disk counters.
 func TestTierNilStoreIsMemoryOnly(t *testing.T) {
-	c := NewWithStore(0, nil)
+	c := NewTiered(0, nil, BreakerConfig{})
 	c.Do(tierKey(0), func() engine.Result { return tierResult(1) })
 	st := c.Stats()
 	if st.Misses != 1 || st.DiskHits != 0 || st.DiskMisses != 0 || st.DiskEntries != 0 {

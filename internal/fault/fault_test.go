@@ -107,8 +107,8 @@ func TestInjectorNthAndEvery(t *testing.T) {
 	if got := in.Injected(); got != 3 {
 		t.Errorf("Injected() = %d, want 3 (1 read + 2 removes)", got)
 	}
-	if got := in.InjectedOn(OpRemove); got != 2 {
-		t.Errorf("InjectedOn(remove) = %d, want 2", got)
+	if got := in.InjectedByOp()[OpRemove]; got != 2 {
+		t.Errorf("InjectedByOp()[remove] = %d, want 2", got)
 	}
 }
 

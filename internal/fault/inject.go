@@ -287,13 +287,6 @@ func (in *Injector) Injected() uint64 {
 	return in.injected
 }
 
-// InjectedOn returns how many faults have fired on one op kind.
-func (in *Injector) InjectedOn(op Op) uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.byOp[op]
-}
-
 // InjectedByOp returns a copy of the per-op fired-fault counts — the
 // chaos harness's ledger of what actually happened.
 func (in *Injector) InjectedByOp() map[Op]uint64 {

@@ -10,10 +10,10 @@
 // The harness is deliberately client-shaped: it talks to the server
 // over real HTTP (no shortcuts through internal state), so what it
 // measures is what a user sees, and what it verifies is the wire
-// contract. Results condense into a Result that can be checked against
-// an SLO, serialized as JSON, or emitted in `go test -bench` format for
-// scripts/benchjson — the same snapshot pipeline the compute
-// benchmarks use (BENCH_*.json).
+// contract. A run condenses into a Result that is checked against the
+// serving contract and an SLO, and serialized as JSON. perfbench/, not
+// this harness, is the repository's serving benchmark: loadgen's
+// latency numbers gate SLOs in smoke runs and are not recorded.
 package loadgen
 
 import (
@@ -652,21 +652,4 @@ func recordTerminal(ctx context.Context, sf statusFunc, cfg Config, st *runState
 // terminalState mirrors wire's terminal set.
 func terminalState(s string) bool {
 	return s == wire.StateDone || s == wire.StateExpired || s == wire.StateAborted
-}
-
-// Sweep runs the same load at each concurrency level in turn — the
-// saturation curve. Levels run sequentially so each measures a quiet
-// server warmed by the previous stage (the cache is content-addressed;
-// distinct deadlines stay distinct work across stages).
-func Sweep(ctx context.Context, cfg Config, levels []int) ([]*Result, error) {
-	results := make([]*Result, 0, len(levels))
-	for _, c := range levels {
-		cfg.Concurrency = c
-		res, err := Run(ctx, cfg)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
 }

@@ -203,30 +203,6 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 }
 
-// TestSweep runs the saturation curve and checks each level reports
-// independently.
-func TestSweep(t *testing.T) {
-	base := newTarget(t, server.Config{})
-	spec := baseSpec()
-	results, err := Sweep(context.Background(), Config{
-		BaseURL:        base,
-		Jobs:           30,
-		VerifyTerminal: true,
-		NewJob:         spec.Job,
-	}, []int{4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Concurrency != 4 || results[1].Concurrency != 16 {
-		t.Fatalf("sweep levels wrong: %+v", results)
-	}
-	for _, r := range results {
-		if err := r.Verify(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestRunConfigErrors: unusable configuration is an error, not a run.
 func TestRunConfigErrors(t *testing.T) {
 	spec := baseSpec()
@@ -300,30 +276,5 @@ func TestJobSpecDeterminism(t *testing.T) {
 	// Priority mix 2:1 over a cycle of 3.
 	if p := [3]int{spec.Job(0).Priority, spec.Job(1).Priority, spec.Job(2).Priority}; p != [3]int{0, 0, 9} {
 		t.Fatalf("priority cycle = %v, want [0 0 9]", p)
-	}
-}
-
-// TestWriteBench: the -bench emission carries the pkg header and one
-// parseable line per metric — the shape scripts/benchjson consumes.
-func TestWriteBench(t *testing.T) {
-	var sb strings.Builder
-	r := &Result{Mode: "poll", Concurrency: 16, ThroughputJPS: 500,
-		Submit: LatencySummary{P50MS: 1, P99MS: 2},
-		Poll:   LatencySummary{P50MS: 1, P99MS: 2},
-		E2E:    LatencySummary{P50MS: 3, P95MS: 4, P99MS: 5}}
-	if err := WriteBench(&sb, r); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "pkg: battload\n") {
-		t.Fatalf("missing pkg header:\n%s", out)
-	}
-	for _, want := range []string{
-		"BenchmarkLoad/mode=poll/c=16/e2e_p99 \t1\t5000000 ns/op",
-		"BenchmarkLoad/mode=poll/c=16/ns_per_done_job \t1\t2000000 ns/op",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
 	}
 }

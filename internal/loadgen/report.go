@@ -1,14 +1,10 @@
-// Result, SLO checking and snapshot emission: a load run condenses to
-// one Result; a sweep to a slice of them. Results serialize two ways —
-// a full JSON report (battload -o) and `go test -bench`-shaped lines
-// (battload -bench) that pipe through scripts/benchjson into the same
-// BENCH_*.json snapshot format the compute benchmarks use, so the load
-// trajectory and the kernel trajectory live in one format.
+// Result and SLO checking: a load run condenses to one Result, which
+// battload -o serializes as JSON.
 package loadgen
 
 import (
 	"fmt"
-	"io"
+	"strings"
 	"time"
 
 	"repro/internal/client"
@@ -86,19 +82,7 @@ func (r *Result) Verify() error {
 	if len(probs) == 0 {
 		return nil
 	}
-	return fmt.Errorf("loadgen: contract violated at c=%d: %s", r.Concurrency, join(probs))
-}
-
-// join is strings.Join without importing strings here for two words.
-func join(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "; "
-		}
-		out += s
-	}
-	return out
+	return fmt.Errorf("loadgen: contract violated at c=%d: %s", r.Concurrency, strings.Join(probs, "; "))
 }
 
 // SLO is the service-level objective a run is held to. Zero durations
@@ -132,44 +116,4 @@ func (s *SLO) check(r *Result) []string {
 		}
 	}
 	return v
-}
-
-// WriteBench emits the results as `go test -bench`-shaped lines, one
-// per metric, prefixed by a pkg header so scripts/benchjson keys them
-// "battload:BenchmarkLoad/...". Latency metrics are the histogram
-// quantiles; throughput is inverted to ns-per-completed-job so every
-// line is an ns/op a bench-snapshot consumer already understands.
-func WriteBench(w io.Writer, results ...*Result) error {
-	if _, err := fmt.Fprintln(w, "pkg: battload"); err != nil {
-		return err
-	}
-	for _, r := range results {
-		base := fmt.Sprintf("BenchmarkLoad/mode=%s/c=%d", r.Mode, r.Concurrency)
-		line := func(metric string, valueMS float64) error {
-			_, err := fmt.Fprintf(w, "%s/%s \t1\t%.0f ns/op\n", base, metric, valueMS*1e6)
-			return err
-		}
-		for _, m := range []struct {
-			name string
-			val  float64
-		}{
-			{"submit_p50", r.Submit.P50MS},
-			{"submit_p99", r.Submit.P99MS},
-			{"poll_p50", r.Poll.P50MS},
-			{"poll_p99", r.Poll.P99MS},
-			{"e2e_p50", r.E2E.P50MS},
-			{"e2e_p95", r.E2E.P95MS},
-			{"e2e_p99", r.E2E.P99MS},
-		} {
-			if err := line(m.name, m.val); err != nil {
-				return err
-			}
-		}
-		if r.ThroughputJPS > 0 {
-			if err := line("ns_per_done_job", 1e3/r.ThroughputJPS); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

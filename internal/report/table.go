@@ -1,5 +1,5 @@
 // Package report renders the experiment harness's tables as aligned plain
-// text, GitHub markdown, or CSV. It is intentionally tiny: headers, string
+// text or GitHub markdown. It is intentionally tiny: headers, string
 // rows, a title, and formatting helpers for the numeric conventions the
 // paper uses (sigma in whole mA·min, durations with one decimal).
 package report
@@ -104,30 +104,6 @@ func (t *Table) Markdown(w io.Writer) error {
 		fmt.Fprintf(&b, "\n*%s*\n", n)
 	}
 	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// CSV writes the table as comma-separated values (headers first, no
-// title). Cells containing commas or quotes are quoted.
-func (t *Table) CSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for k, c := range cells {
-			if k > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }

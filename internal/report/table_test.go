@@ -55,34 +55,6 @@ func TestMarkdown(t *testing.T) {
 	}
 }
 
-func TestCSVQuoting(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "\"z,w\"") {
-		t.Fatalf("comma cell not quoted:\n%s", out)
-	}
-	if strings.Contains(out, "Sample") {
-		t.Fatal("CSV should not carry the title")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 || lines[0] != "A,B" {
-		t.Fatalf("CSV = %q", out)
-	}
-	// Quote escaping.
-	q := &Table{Headers: []string{"A"}}
-	q.AddRow(`say "hi"`)
-	buf.Reset()
-	if err := q.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"say ""hi"""`) {
-		t.Fatalf("quote escaping wrong: %q", buf.String())
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if F1(228.34) != "228.3" {
 		t.Fatalf("F1 = %q", F1(228.34))

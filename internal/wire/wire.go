@@ -70,7 +70,8 @@ type Job struct {
 	// runs of the same job never share an entry.
 	Approx float64 `json:"approx,omitempty"`
 	// Restarts/Seed/RestartWorkers configure the multistart strategy;
-	// RestartWorkers 0 inherits the runner's worker bound.
+	// RestartWorkers 0 inherits the runner's worker bound. A cache.Engine
+	// with a Gate (battschedd) runs restarts in sequence and ignores it.
 	Restarts       int   `json:"restarts,omitempty"`
 	Seed           int64 `json:"seed,omitempty"`
 	RestartWorkers int   `json:"restart_workers,omitempty"`

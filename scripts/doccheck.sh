@@ -8,8 +8,11 @@
 #     (#...) are skipped; a link's own anchor suffix (FILE.md#section)
 #     is stripped before the existence check.
 #   - every flag the `go run ./cmd/battschedd ...` block in docs/API.md
-#     names is one `battschedd -h` lists, so a deleted or renamed flag
-#     cannot linger in the docs.
+#     names is one `battschedd -h` lists, and every flag a
+#     `go run ./cmd/battload ...` invocation in README.md,
+#     ARCHITECTURE.md or .github/workflows/ci.yml names is one
+#     `battload -h` lists, so a deleted or renamed flag cannot linger in
+#     the docs or CI.
 #   - every `Options.<Field>` the checked files name is a field that
 #     `go doc repro/internal/core Options` lists, so a deleted scheduler
 #     option cannot linger in the docs either.
@@ -43,27 +46,45 @@ for md in "${files[@]}"; do
   done < <(grep -o ']([^)]*)' "$md" | sed 's/^](//; s/)$//')
 done
 
-# The daemon's documented start command: the `go run ./cmd/battschedd`
-# line plus its backslash continuations.
-documented=$(awk '/^go run \.\/cmd\/battschedd/ {on=1} on {print} on && !/\\$/ {on=0}' docs/API.md |
-  grep -oE '(^|[[:space:]])-[a-z][a-z0-9-]*' | sed -E 's/^[[:space:]]*-//' | sort -u)
-if [ -z "$documented" ]; then
-  echo "doccheck: docs/API.md has no go run ./cmd/battschedd block"
-  fail=1
-fi
-usage=$(go run ./cmd/battschedd -h 2>&1)
-listed=$(printf '%s\n' "$usage" | sed -nE 's/^[[:space:]]+-([a-z][a-z0-9-]*).*/\1/p' | sort -u)
-if [ -z "$listed" ]; then
-  echo "doccheck: could not read battschedd -h:"
-  printf '%s\n' "$usage"
-  fail=1
-fi
-for flag in $documented; do
-  if ! printf '%s\n' "$listed" | grep -qx -- "$flag"; then
-    echo "doccheck: docs/API.md starts battschedd with -$flag, which battschedd -h does not list"
+# flagdrift CMD FILE...: every flag a `go run ./cmd/CMD` invocation in
+# the files names must be one `CMD -h` lists. An invocation is the line
+# plus its backslash continuations, cut at the first pipe or redirect
+# (what follows belongs to another command). There must be at least one.
+invocations=0
+flagdrift() {
+  local cmd=$1 usage listed md inv flag found=0
+  shift
+  usage=$(go run "./cmd/$cmd" -h 2>&1)
+  listed=$(printf '%s\n' "$usage" | sed -nE 's/^[[:space:]]+-([a-z][a-z0-9-]*).*/\1/p' | sort -u)
+  if [ -z "$listed" ]; then
+    echo "doccheck: could not read $cmd -h:"
+    printf '%s\n' "$usage"
+    fail=1
+    return
+  fi
+  for md in "$@"; do
+    while IFS= read -r inv; do
+      found=$((found + 1))
+      for flag in $(printf '%s\n' "${inv%%[|>]*}" | grep -oE '(^|[[:space:]])-[a-z][a-z0-9-]*' | sed -E 's/^[[:space:]]*-//'); do
+        if ! printf '%s\n' "$listed" | grep -qx -- "$flag"; then
+          echo "doccheck: $md runs $cmd with -$flag, which $cmd -h does not list"
+          fail=1
+        fi
+      done
+    done < <(awk -v start="go run ./cmd/$cmd" '
+      { line = $0; sub(/^[[:space:]]+/, "", line) }
+      !on && (line == start || index(line, start " ") == 1) { on = 1; buf = "" }
+      on { cont = (line ~ /\\$/); sub(/\\$/, "", line); buf = buf " " line; if (!cont) { print buf; on = 0 } }
+    ' "$md")
+  done
+  if [ "$found" -eq 0 ]; then
+    echo "doccheck: no go run ./cmd/$cmd invocation in $*"
     fail=1
   fi
-done
+  invocations=$((invocations + found))
+}
+flagdrift battschedd docs/API.md
+flagdrift battload README.md ARCHITECTURE.md .github/workflows/ci.yml
 
 # Scheduler options named in the docs: Options.<Field>, with "Options"
 # a whole word (so MultiStartOptions.Workers is not read as one).
@@ -90,4 +111,4 @@ if [ "$fail" -ne 0 ]; then
   echo "doccheck: FAILED"
   exit 1
 fi
-echo "doccheck: all doc links resolve (${#files[@]} files checked), battschedd flags match docs/API.md ($(echo $documented | wc -w) flags), Options fields named in docs exist ($named mentions)"
+echo "doccheck: all doc links resolve (${#files[@]} files checked), flags of $invocations battschedd/battload invocations match their -h, Options fields named in docs exist ($named mentions)"
