@@ -16,21 +16,12 @@
 // is 1 when there are findings, 2 on usage or load errors, 0 when
 // clean. A finding is acknowledged in place with
 // //battlint:allow <analyzer> <reason> — see internal/analysis.
-//
-// battlint also speaks the go vet driver protocol (-V=full handshake,
-// -flags, and single <unit>.cfg invocations), so a built binary works
-// as a vettool:
-//
-//	go build -o /tmp/battlint ./cmd/battlint
-//	go vet -vettool=/tmp/battlint ./...
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
@@ -57,22 +48,6 @@ var all = []*analysis.Analyzer{
 func main() { os.Exit(run(os.Args[1:])) }
 
 func run(args []string) int {
-	// The go vet driver invokes its tool with exactly one argument per
-	// protocol step: -V=full to identify the tool, -flags to discover
-	// tool flags, then one <unit>.cfg per package.
-	if len(args) == 1 {
-		switch {
-		case strings.HasPrefix(args[0], "-V"):
-			fmt.Printf("%s version v1 buildID=battlint-v1\n", progname())
-			return 0
-		case args[0] == "-flags":
-			fmt.Println("[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return vetUnit(args[0])
-		}
-	}
-
 	fs := flag.NewFlagSet("battlint", flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: battlint [-list] [-run names] [package patterns]\n")
@@ -133,64 +108,6 @@ func run(args []string) int {
 	return exit
 }
 
-// vetConfig is the subset of the go vet unit-config JSON battlint
-// reads (the shape x/tools' unitchecker documents).
-type vetConfig struct {
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one package on behalf of the go vet driver.
-func vetUnit(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "battlint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "battlint: parsing %s: %v\n", path, err)
-		return 2
-	}
-	// battlint keeps no cross-package facts, but the driver caches and
-	// re-feeds the facts file, so it must exist.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "battlint:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	pkg, err := analysis.LoadVetUnit(cfg.ImportPath, cfg.GoFiles, cfg.PackageFile, cfg.ImportMap)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "battlint:", err)
-		return 2
-	}
-	findings, err := analysis.RunAnalyzers(pkg, all)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "battlint:", err)
-		return 2
-	}
-	filtered := analysis.Filter(findings, pkg, knownNames(), nil)
-	for _, f := range filtered {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(filtered) > 0 {
-		return 1
-	}
-	return 0
-}
-
 func knownNames() map[string]bool {
 	known := map[string]bool{}
 	for _, a := range all {
@@ -206,9 +123,4 @@ func byName(name string) *analysis.Analyzer {
 		}
 	}
 	return nil
-}
-
-func progname() string {
-	name := filepath.Base(os.Args[0])
-	return strings.TrimSuffix(name, ".exe")
 }

@@ -28,17 +28,18 @@
 //	# cycling, the resilient client in front, zero loss asserted:
 //	battload -self -resilient -n 800 -c 32 \
 //	    -self-faults "write:every=1:eio,read:every=2:eio" \
-//	    -self-breaker-threshold 40 -self-breaker-probe 20ms \
+//	    -self-breaker-threshold 100 -self-breaker-probe 20ms \
 //	    -min-faults 100 -assert
 //
-// -resilient drives the run through internal/client (capped backoff
-// with deterministic jitter, Retry-After floors, resubmit on 404 after
-// a restart) instead of the raw poll loop; the report then carries the
-// client's own attempt/retry ledger. -self-faults installs a
-// deterministic fault schedule (see internal/fault) under -self's disk
-// store and the run logs the chaos ledger — faults injected per op,
-// disk errors, breaker state and trips; with -assert, -min-faults
-// turns "the chaos leg actually ran" into a checked claim.
+// -resilient submits and polls through internal/client (capped backoff
+// with deterministic jitter, Retry-After floors) instead of raw HTTP,
+// and resubmits a job the server answers 404 for after a restart; the
+// report then carries the client's own attempt/retry ledger.
+// -self-faults installs a deterministic fault schedule (see
+// internal/fault) under -self's disk store and the run logs the chaos
+// ledger — faults injected per op, disk errors, breaker state and
+// trips; with -assert, -min-faults turns "the chaos leg actually ran"
+// into a checked claim.
 //
 // The human-readable summary goes to stderr; -o writes the full JSON
 // report. battload checks the serving contract and SLOs; perfbench/ is
@@ -121,6 +122,10 @@ func main() {
 	mix, err := loadgen.ParsePriorityMix(*priomix)
 	if err != nil {
 		logger.Println("battload:", err)
+		os.Exit(2)
+	}
+	if *n <= 0 {
+		logger.Printf("battload: -n must be positive, got %d", *n)
 		os.Exit(2)
 	}
 	if *c <= 0 {

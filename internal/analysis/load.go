@@ -163,34 +163,6 @@ func exportImporter(fset *token.FileSet, exports, importMap map[string]string) t
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// LoadVetUnit type-checks one package from the explicit file list and
-// export-data maps a `go vet -vettool` unit config carries, so battlint
-// can run inside the vet driver without shelling back out to go list.
-func LoadVetUnit(importPath string, goFiles []string, packageFile, importMap map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("%s: no Go files in vet unit", importPath)
-	}
-	info := newInfo()
-	conf := types.Config{
-		Importer: exportImporter(fset, packageFile, importMap),
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-	}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
-	}
-	return &Package{PkgPath: importPath, Fset: fset, Files: files, Types: tpkg, TypesInfo: info}, nil
-}
-
 // LoadFixtureDir loads one analyzer-test fixture package from an
 // analysistest-style tree: srcRoot/<pkgpath>/*.go, where a fixture may
 // import a sibling fixture package (resolved under srcRoot) or the

@@ -1,17 +1,19 @@
 // Package client is the resilient Go client for the battschedd HTTP
 // API: the piece that turns the server's backpressure and fault
 // contracts into something a caller can lean on without writing a retry
-// loop of their own.
+// loop of their own. It offers the async API's submit (Submit) and
+// poll (Status) calls and its own resilience counters (Stats);
+// loadgen's resilient mode builds its job loop on them.
 //
 // The retry discipline:
 //
-//   - Only idempotent operations retry. Every one of this API's calls
-//     is idempotent by construction — a job's identity is the SHA-256
-//     content address of its canonical request, so resubmitting the
-//     same job coalesces onto the same computation server-side, and
-//     GET/DELETE are idempotent by HTTP semantics. A client for a
-//     different API should not copy this blanket policy; it is earned
-//     by the content addressing, not assumed.
+//   - Only idempotent operations retry. Both calls are idempotent by
+//     construction — a job's identity is the SHA-256 content address
+//     of its canonical request, so resubmitting the same job coalesces
+//     onto the same computation server-side, and GET is idempotent by
+//     HTTP semantics. A client for a different API should not copy
+//     this blanket policy; it is earned by the content addressing, not
+//     assumed.
 //   - Transport errors (connection refused/reset — the shape of a
 //     crashed or restarting server) and 429/503 rejections retry with
 //     capped exponential backoff. A Retry-After header, when present,
@@ -24,15 +26,10 @@
 //   - Deadlines propagate: every request carries the caller's context,
 //     and backoff sleeps abort the moment the context dies. The context
 //     is the total budget across all attempts.
-//   - 4xx responses other than 429 (and 404 where noted) never retry:
-//     the request itself is wrong, and the same bytes will fail the
-//     same way.
-//
-// Do is the high-level entry: submit async, poll with the same backoff
-// discipline until terminal, and — because a job can finish and age out
-// of the server's retention window between polls — resubmit on 404,
-// which the content-addressed ID makes safe (the resubmission coalesces
-// or replays deterministically; Stats.Resubmits counts how often).
+//   - Other 4xx responses never retry: the request itself is wrong, and
+//     the same bytes will fail the same way. A 404 from Status means
+//     the server no longer knows the job (IsNotFound); resubmitting it
+//     is the caller's call, and safe because of the content address.
 //
 //battlint:deterministic
 package client
@@ -70,19 +67,15 @@ type Config struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth; 0 means DefaultMaxBackoff.
 	MaxBackoff time.Duration
-	// PollInterval is Do's initial result-poll cadence; 0 means
-	// DefaultPollInterval. Polling backs off exponentially to MaxBackoff.
-	PollInterval time.Duration
 }
 
 // Client defaults: four attempts ride out a restart without stretching
 // a genuinely-down server past ~1s of waiting; 100ms–5s spans the gap
 // between a queue-full blip and a drain.
 const (
-	DefaultMaxAttempts  = 4
-	DefaultBaseBackoff  = 100 * time.Millisecond
-	DefaultMaxBackoff   = 5 * time.Second
-	DefaultPollInterval = 20 * time.Millisecond
+	DefaultMaxAttempts = 4
+	DefaultBaseBackoff = 100 * time.Millisecond
+	DefaultMaxBackoff  = 5 * time.Second
 )
 
 // Stats counts what the client absorbed so harnesses can prove the
@@ -96,9 +89,6 @@ type Stats struct {
 	// RetryAfter counts retries whose wait honored a server Retry-After
 	// header rather than the client's own backoff.
 	RetryAfter uint64 `json:"retry_after_honored"`
-	// Resubmits counts Do re-submissions after a poll 404 (the job aged
-	// out of retention between polls).
-	Resubmits uint64 `json:"resubmits"`
 }
 
 // Client is a resilient battschedd API client. Safe for concurrent use.
@@ -108,7 +98,6 @@ type Client struct {
 	attempts   atomic.Uint64
 	retries    atomic.Uint64
 	retryAfter atomic.Uint64
-	resubmits  atomic.Uint64
 }
 
 // New builds a client; Config.BaseURL must be set.
@@ -125,9 +114,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = DefaultMaxBackoff
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = DefaultPollInterval
-	}
 	return &Client{cfg: cfg}, nil
 }
 
@@ -137,7 +123,6 @@ func (c *Client) Stats() Stats {
 		Attempts:   c.attempts.Load(),
 		Retries:    c.retries.Load(),
 		RetryAfter: c.retryAfter.Load(),
-		Resubmits:  c.resubmits.Load(),
 	}
 }
 
@@ -146,9 +131,6 @@ func (c *Client) Stats() Stats {
 type StatusError struct {
 	Code int
 	Msg  string
-	// Body is the raw response body — some failure statuses (422) carry
-	// a full result payload, not just an error envelope.
-	Body []byte
 }
 
 func (e *StatusError) Error() string {
@@ -266,7 +248,7 @@ func (c *Client) doRetry(ctx context.Context, method, path, key string, body []b
 			continue
 		}
 		if retryable(resp.StatusCode) {
-			lastErr = &StatusError{Code: resp.StatusCode, Msg: errorMsg(data), Body: data}
+			lastErr = &StatusError{Code: resp.StatusCode, Msg: errorMsg(data)}
 			if last {
 				continue
 			}
@@ -283,7 +265,7 @@ func (c *Client) doRetry(ctx context.Context, method, path, key string, body []b
 			continue
 		}
 		if resp.StatusCode >= 400 {
-			return &StatusError{Code: resp.StatusCode, Msg: errorMsg(data), Body: data}
+			return &StatusError{Code: resp.StatusCode, Msg: errorMsg(data)}
 		}
 		if out != nil {
 			if err := json.Unmarshal(data, out); err != nil {
@@ -307,34 +289,6 @@ func errorMsg(data []byte) string {
 	return string(data)
 }
 
-// jobKey derives the deterministic jitter key for a job: the canonical
-// JSON bytes stand in for the content address (the server computes the
-// true SHA-256 ID; equal jobs get equal keys either way, which is all
-// the jitter needs).
-func jobKey(body []byte) string { return string(body) }
-
-// Schedule runs one job synchronously: POST /v1/schedule with the full
-// retry discipline. Safe to retry because scheduling is deterministic
-// and content-addressed — a replayed request returns the identical
-// result (usually from cache).
-func (c *Client) Schedule(ctx context.Context, job wire.Job) (wire.Result, error) {
-	body, err := json.Marshal(job)
-	if err != nil {
-		return wire.Result{}, fmt.Errorf("client: %w", err)
-	}
-	var res wire.Result
-	// A scheduling failure (infeasible deadline, …) arrives as 422 with
-	// a result body; treat it as a result, not an error.
-	err = c.doRetry(ctx, http.MethodPost, "/v1/schedule", jobKey(body), body, &res)
-	var se *StatusError
-	if errors.As(err, &se) && se.Code == http.StatusUnprocessableEntity {
-		if jerr := json.Unmarshal(se.Body, &res); jerr == nil {
-			return res, nil
-		}
-	}
-	return res, err
-}
-
 // Submit enqueues one async job: POST /v1/jobs with retry. The returned
 // status carries the job's content-addressed ID for polling.
 func (c *Client) Submit(ctx context.Context, job wire.Job) (wire.JobStatus, error) {
@@ -342,94 +296,24 @@ func (c *Client) Submit(ctx context.Context, job wire.Job) (wire.JobStatus, erro
 	if err != nil {
 		return wire.JobStatus{}, fmt.Errorf("client: %w", err)
 	}
+	// The canonical JSON bytes key the jitter in place of the content
+	// address (the server computes the true SHA-256 ID; equal jobs get
+	// equal keys either way, which is all the jitter needs).
 	var st wire.JobStatus
-	err = c.doRetry(ctx, http.MethodPost, "/v1/jobs", jobKey(body), body, &st)
+	err = c.doRetry(ctx, http.MethodPost, "/v1/jobs", string(body), body, &st)
 	return st, err
 }
 
 // Status polls one job: GET /v1/jobs/{id} with retry. A 404 (unknown or
-// aged-out job) returns a *StatusError with Code 404; Do turns that
-// into a resubmission.
+// aged-out job) returns a *StatusError with Code 404 (see IsNotFound).
 func (c *Client) Status(ctx context.Context, id string) (wire.JobStatus, error) {
 	var st wire.JobStatus
 	err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id, id, nil, &st)
 	return st, err
 }
 
-// Abort cancels one job: DELETE /v1/jobs/{id} with retry (idempotent —
-// aborting a terminal job reports its state unchanged).
-func (c *Client) Abort(ctx context.Context, id string) (wire.JobStatus, error) {
-	var st wire.JobStatus
-	err := c.doRetry(ctx, http.MethodDelete, "/v1/jobs/"+id, id, nil, &st)
-	return st, err
-}
-
-// Ready fetches the readiness verdict: GET /readyz. No retry beyond the
-// standard discipline — note a draining server answers 503, which
-// doRetry will wait out; callers probing state should bound ctx.
-func (c *Client) Ready(ctx context.Context) (wire.Ready, error) {
-	var rep wire.Ready
-	err := c.doRetry(ctx, http.MethodGet, "/readyz", "readyz", nil, &rep)
-	// A draining server's 503 still carries the verdict body.
-	var se *StatusError
-	if errors.As(err, &se) && se.Code == http.StatusServiceUnavailable {
-		if jerr := json.Unmarshal(se.Body, &rep); jerr == nil && rep.Status != "" {
-			return rep, nil
-		}
-	}
-	return rep, err
-}
-
 // IsNotFound reports whether err is a 404 StatusError.
 func IsNotFound(err error) bool {
 	var se *StatusError
 	return errors.As(err, &se) && se.Code == http.StatusNotFound
-}
-
-// Do runs one job end to end through the async API: submit, poll until
-// terminal, return the result line the stream endpoint would have
-// produced. Survives everything the retry discipline covers, plus the
-// two async-specific hazards: a job that ages out of retention between
-// polls is resubmitted (content addressing makes that safe and cheap —
-// the server answers from cache), and expired/aborted terminals are
-// returned as their retryable wire codes for the caller to decide.
-func (c *Client) Do(ctx context.Context, job wire.Job) (wire.Result, error) {
-	st, err := c.Submit(ctx, job)
-	if err != nil {
-		return wire.Result{}, err
-	}
-	poll := c.cfg.PollInterval
-	for {
-		switch st.State {
-		case wire.StateDone:
-			if st.Result == nil {
-				return wire.Result{}, fmt.Errorf("client: job %s done without result", st.ID)
-			}
-			res := *st.Result
-			res.Name = job.Name
-			return res, nil
-		case wire.StateExpired:
-			return wire.Result{Name: job.Name, Error: st.Error, Code: wire.CodeExpired}, nil
-		case wire.StateAborted:
-			return wire.Result{Name: job.Name, Error: st.Error, Code: wire.CodeAborted}, nil
-		}
-		if err := sleep(ctx, poll); err != nil {
-			return wire.Result{}, fmt.Errorf("client: %w", err)
-		}
-		if poll *= 2; poll > c.cfg.MaxBackoff {
-			poll = c.cfg.MaxBackoff
-		}
-		next, err := c.Status(ctx, st.ID)
-		if IsNotFound(err) {
-			// Finished and pruned between polls (or lost to a restart
-			// with no persistent queue). The ID is the content address,
-			// so resubmitting coalesces or replays — never double-runs.
-			c.resubmits.Add(1)
-			next, err = c.Submit(ctx, job)
-		}
-		if err != nil {
-			return wire.Result{}, err
-		}
-		st = next
-	}
 }

@@ -2,11 +2,9 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -69,20 +67,20 @@ func TestJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestScheduleRetriesTransportFault: a connection-reset-shaped failure
+// TestSubmitRetriesTransportFault: a connection-reset-shaped failure
 // on the first attempt is absorbed; the second attempt answers.
-func TestScheduleRetriesTransportFault(t *testing.T) {
+func TestSubmitRetriesTransportFault(t *testing.T) {
 	_, ts := newRealServer(t, server.Config{})
 	in := fault.NewInjector(fault.OS,
 		fault.Rule{Op: fault.OpRoundTrip, Nth: 1, Err: syscall.ECONNRESET})
 	c := newClient(t, fastBackoff(ts.URL, &http.Client{Transport: &fault.Transport{Injector: in}}))
 
-	res, err := c.Schedule(context.Background(), testJob())
+	status, err := c.Submit(context.Background(), testJob())
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
-	if res.Error != "" || len(res.Order) == 0 {
-		t.Fatalf("result: %+v", res)
+	if status.ID == "" {
+		t.Fatalf("status: %+v", status)
 	}
 	st := c.Stats()
 	if st.Retries != 1 || st.Attempts != 2 {
@@ -90,9 +88,9 @@ func TestScheduleRetriesTransportFault(t *testing.T) {
 	}
 }
 
-// TestScheduleRetries503And429: synthesized backpressure responses with
+// TestSubmitRetries503And429: synthesized backpressure responses with
 // Retry-After are retried and the header honored (counted).
-func TestScheduleRetries503And429(t *testing.T) {
+func TestSubmitRetries503And429(t *testing.T) {
 	_, ts := newRealServer(t, server.Config{})
 	in := fault.NewInjector(fault.OS,
 		fault.Rule{Op: fault.OpRoundTrip, Nth: 1, Status: 503},
@@ -100,12 +98,12 @@ func TestScheduleRetries503And429(t *testing.T) {
 	c := newClient(t, fastBackoff(ts.URL, &http.Client{Transport: &fault.Transport{Injector: in}}))
 
 	start := time.Now()
-	res, err := c.Schedule(context.Background(), testJob())
+	status, err := c.Submit(context.Background(), testJob())
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
-	if len(res.Order) == 0 {
-		t.Fatalf("result: %+v", res)
+	if status.ID == "" {
+		t.Fatalf("status: %+v", status)
 	}
 	st := c.Stats()
 	if st.Retries != 2 {
@@ -126,7 +124,7 @@ func TestNoRetryOn400(t *testing.T) {
 	_, ts := newRealServer(t, server.Config{})
 	c := newClient(t, fastBackoff(ts.URL, nil))
 
-	_, err := c.Schedule(context.Background(), wire.Job{Fixture: "no-such-fixture", Deadline: 1, Strategy: "iterative"})
+	_, err := c.Submit(context.Background(), wire.Job{Fixture: "no-such-fixture", Deadline: 1, Strategy: "iterative"})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("err = %v, want StatusError 400", err)
@@ -136,95 +134,12 @@ func TestNoRetryOn400(t *testing.T) {
 	}
 }
 
-// TestSchedule422IsResult: a deterministic scheduling failure (422)
-// comes back as a result with an error field, not a client error, and
-// is never retried (it would fail identically).
-func TestSchedule422IsResult(t *testing.T) {
-	_, ts := newRealServer(t, server.Config{})
-	c := newClient(t, fastBackoff(ts.URL, nil))
-
-	res, err := c.Schedule(context.Background(), wire.Job{Fixture: "g3", Deadline: 1, Strategy: "iterative"})
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	if res.Error == "" {
-		t.Fatalf("infeasible deadline produced no error: %+v", res)
-	}
-	if st := c.Stats(); st.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (422 is deterministic)", st.Attempts)
-	}
-}
-
-// TestDoEndToEnd: the async path against the real server.
-func TestDoEndToEnd(t *testing.T) {
-	_, ts := newRealServer(t, server.Config{})
-	c := newClient(t, fastBackoff(ts.URL, nil))
-
-	res, err := c.Do(context.Background(), testJob())
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if res.Error != "" || len(res.Order) == 0 {
-		t.Fatalf("result: %+v", res)
-	}
-
-	// Same job again: content addressing means the server answers from
-	// its retained terminal (or cache) — still exactly one result.
-	res2, err := c.Do(context.Background(), testJob())
-	if err != nil {
-		t.Fatalf("Do (repeat): %v", err)
-	}
-	a, _ := json.Marshal(res)
-	b, _ := json.Marshal(res2)
-	if string(a) != string(b) {
-		t.Fatalf("repeat result differs:\n%s\n%s", a, b)
-	}
-}
-
-// TestDoResubmitsOn404: a job that ages out of retention between polls
-// is resubmitted under its content address instead of failing.
-func TestDoResubmitsOn404(t *testing.T) {
-	var polls atomic.Int64
-	result := wire.Result{Index: 0, Cost: 42, Order: []int{0}, Assignment: map[int]int{0: 0}}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		st := wire.JobStatus{ID: "a1b2", State: wire.StateQueued}
-		if polls.Load() > 0 { // the resubmission: answer terminal
-			st.State = wire.StateDone
-			st.Result = &result
-			w.WriteHeader(http.StatusOK)
-		} else {
-			w.WriteHeader(http.StatusAccepted)
-		}
-		json.NewEncoder(w).Encode(st)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		polls.Add(1) // every poll: the job has aged out
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "unknown job id"})
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c := newClient(t, fastBackoff(ts.URL, nil))
-	res, err := c.Do(context.Background(), testJob())
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if res.Cost != 42 {
-		t.Fatalf("result: %+v", res)
-	}
-	if st := c.Stats(); st.Resubmits != 1 {
-		t.Errorf("resubmits = %d, want 1", st.Resubmits)
-	}
-}
-
 // TestDrainRejectionsRetryAndExhaust: a draining server answers 503 +
 // Retry-After everywhere; the client retries (honoring the header
 // absent a healthy replica to land on) and surfaces the 503 once
 // attempts exhaust — never hangs, never mislabels it permanent.
 func TestDrainRejectionsRetryAndExhaust(t *testing.T) {
-	srv, ts := newRealServer(t, server.Config{RetryAfter: 1})
+	srv, ts := newRealServer(t, server.Config{})
 	srv.Close()
 
 	c := newClient(t, Config{
@@ -247,24 +162,6 @@ func TestDrainRejectionsRetryAndExhaust(t *testing.T) {
 	}
 }
 
-// TestReadyAgainstDrain: the readiness probe decodes the draining
-// verdict out of the 503 body.
-func TestReadyAgainstDrain(t *testing.T) {
-	srv, ts := newRealServer(t, server.Config{})
-	c := newClient(t, Config{BaseURL: ts.URL, MaxAttempts: 1})
-
-	rep, err := c.Ready(context.Background())
-	if err != nil || rep.Status != wire.ReadyOK {
-		t.Fatalf("healthy Ready: %+v, %v", rep, err)
-	}
-
-	srv.Close()
-	rep, err = c.Ready(context.Background())
-	if err != nil || rep.Status != wire.ReadyDraining {
-		t.Fatalf("draining Ready: %+v, %v", rep, err)
-	}
-}
-
 // TestDeadlinePropagation: a latency fault longer than the caller's
 // deadline aborts the call at the deadline, not after the full wait.
 func TestDeadlinePropagation(t *testing.T) {
@@ -276,7 +173,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Schedule(ctx, testJob())
+	_, err := c.Submit(ctx, testJob())
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -293,7 +190,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	// worker, one fills the lone queue slot, then distinct submissions
 	// start bouncing with 429.
 	_, ts := newRealServer(t, server.Config{
-		Workers: 1, QueueWorkers: 1, MaxQueued: 1, RetryAfter: 1,
+		Workers: 1, QueueWorkers: 1, MaxQueued: 1,
 	})
 	c := newClient(t, Config{BaseURL: ts.URL, MaxAttempts: 1})
 

@@ -2,9 +2,12 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -176,6 +179,62 @@ func TestRunResilientThroughFaults(t *testing.T) {
 	}
 	if res.Client == nil || res.Client.Retries == 0 {
 		t.Fatalf("client stats = %+v, want retries > 0 (faults were absorbed, not avoided)", res.Client)
+	}
+}
+
+// TestRunResilientResubmitsOn404: a job the server forgets between
+// polls (retention ageout, or a restart that wiped the in-memory queue)
+// is resubmitted under its content address instead of being lost. The
+// stub answers every poll 404 and every resubmission terminal, so each
+// job takes exactly one resubmit.
+func TestRunResilientResubmitsOn404(t *testing.T) {
+	var polled sync.Map // job id -> a poll has 404'd it
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		var job wire.Job
+		if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		st := wire.JobStatus{ID: strconv.FormatFloat(job.Deadline, 'g', -1, 64), State: wire.StateQueued}
+		if _, resubmit := polled.Load(st.ID); resubmit {
+			st.State = wire.StateDone
+			st.Result = &wire.Result{Cost: job.Deadline, Order: []int{0}, Assignment: map[int]int{0: 0}}
+			w.WriteHeader(http.StatusOK)
+		} else {
+			w.WriteHeader(http.StatusAccepted)
+		}
+		json.NewEncoder(w).Encode(st)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		polled.Store(r.PathValue("id"), true)
+		w.WriteHeader(http.StatusNotFound)
+		json.NewEncoder(w).Encode(map[string]string{"error": "unknown job id"})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	res, err := Run(context.Background(), Config{
+		BaseURL:          ts.URL,
+		Jobs:             8,
+		Concurrency:      4,
+		Resilient:        true,
+		ResilientBackoff: time.Millisecond,
+		VerifyTerminal:   true,
+		VerifyBytes:      true,
+		NewJob:           baseSpec().Job,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != int64(res.Jobs) || res.Lost != 0 {
+		t.Fatalf("done=%d lost=%d, want %d/0", res.Done, res.Lost, res.Jobs)
+	}
+	if res.Resubmits < 1 {
+		t.Fatalf("resubmits = %d, want >= 1 (every poll answered 404)", res.Resubmits)
 	}
 }
 

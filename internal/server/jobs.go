@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -242,7 +241,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) ([]batchSlo
 		slots[i].terminal = snap.State.Terminal()
 	}
 	if rejected {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	return slots, true
 }

@@ -285,7 +285,7 @@ func TestJobsMultiClientExactlyOneTerminal(t *testing.T) {
 // tiny queue — the overflow submission gets 429 + Retry-After and the
 // rejection lands in the rejected_queue metric, not `rejected`.
 func TestJobQueueFullRejectsWithRetryAfter(t *testing.T) {
-	s, ts := newJobsServer(t, Config{Workers: 1, QueueWorkers: 1, MaxQueued: 1, RetryAfter: 7})
+	s, ts := newJobsServer(t, Config{Workers: 1, QueueWorkers: 1, MaxQueued: 1})
 
 	// One slow job occupies the lone worker, one fills the lone queue
 	// slot, then distinct submissions must start bouncing.
@@ -306,8 +306,8 @@ func TestJobQueueFullRejectsWithRetryAfter(t *testing.T) {
 	if rejected == nil {
 		t.Fatal("queue of capacity 1 accepted 10 slow submissions without a 429")
 	}
-	if got := rejected.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("429 Retry-After = %q, want %q", got, "7")
+	if got := rejected.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("429 Retry-After = %q, want %q", got, "1")
 	}
 	m := s.Metrics()
 	if m.RejectedQueue == 0 {
@@ -326,7 +326,7 @@ func TestJobQueueFullRejectsWithRetryAfter(t *testing.T) {
 // and come back, counted in `rejected` (never in `rejected_queue`,
 // which is the async queue's).
 func TestDrainRejectionHasRetryAfter(t *testing.T) {
-	s := New(Config{RetryAfter: 3})
+	s := New(Config{})
 	s.Close()
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/schedule",
@@ -336,8 +336,8 @@ func TestDrainRejectionHasRetryAfter(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", rec.Code)
 	}
-	if got := rec.Header().Get("Retry-After"); got != "3" {
-		t.Fatalf("503 Retry-After = %q, want %q", got, "3")
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("503 Retry-After = %q, want %q", got, "1")
 	}
 	m := s.Metrics()
 	if m.Rejected != 1 {

@@ -28,6 +28,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,7 +37,6 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +50,19 @@ import (
 	"repro/internal/wire"
 )
 
+// Request limits and the backoff hint, fixed for every server: a body
+// is at most 16 MiB, a batch at most 10000 job lines — bounding the
+// work a single request can pin the host with, the same threat the wire
+// restart caps close — and every 429 queue-full and 503 draining
+// rejection says Retry-After: 1.
+const (
+	maxBodyBytes = 16 << 20
+	maxBatchJobs = 10000
+	retryAfter   = "1"
+)
+
 // Config sizes a Server. The zero value is production-usable: GOMAXPROCS
-// workers, a cache.DefaultMaxEntries LRU and a 16 MB body limit.
+// workers and a cache.DefaultMaxEntries LRU.
 type Config struct {
 	// Workers bounds concurrent scheduling computations, both inside one
 	// request (batch fan-out) and across the whole server (the compute
@@ -69,12 +80,6 @@ type Config struct {
 	// disabled (CacheEntries < 0). The caller opens the store
 	// (store.Open) so startup owns the warm-start scan and its logging.
 	CacheStore *store.Store
-	// MaxBodyBytes caps a request body; 0 means 16 MB.
-	MaxBodyBytes int64
-	// MaxBatchJobs caps the job lines one /v1/batch request may carry,
-	// bounding the work a single request can pin the host with (the
-	// same threat the wire restart caps close); 0 means 10000.
-	MaxBatchJobs int
 	// RequestTimeout bounds the scheduling work of one request (the
 	// whole batch, not per job); 0 means unbounded. When it fires,
 	// unfinished jobs in the response carry the "canceled" code while
@@ -97,9 +102,6 @@ type Config struct {
 	// JobRetention is how long a finished async job stays pollable
 	// before it is pruned; 0 means queue.DefaultRetention.
 	JobRetention time.Duration
-	// RetryAfter is the Retry-After hint (in seconds) sent with 429
-	// queue-full and 503 draining rejections; 0 means 1 second.
-	RetryAfter int
 	// DiskBreaker tunes the disk tier's circuit breaker (cmd/battschedd's
 	// -disk-breaker-* flags): when the store returns Threshold errors
 	// within Window, the cache degrades to memory-only serving until a
@@ -192,12 +194,6 @@ func New(cfg Config) *Server {
 		if err := cfg.DefaultBattery.Validate(); err != nil {
 			panic(fmt.Sprintf("server: invalid Config.DefaultBattery: %v", err))
 		}
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 16 << 20
-	}
-	if cfg.MaxBatchJobs <= 0 {
-		cfg.MaxBatchJobs = 10000
 	}
 	s := &Server{cfg: cfg, start: time.Now()}
 	s.life, s.stop = context.WithCancel(context.Background())
@@ -447,7 +443,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	rep := s.Ready()
 	w.Header().Set("Content-Type", "application/json")
 	if rep.Status == wire.ReadyDraining {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", retryAfter)
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	json.NewEncoder(w).Encode(rep)
@@ -528,7 +524,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // reports false.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	defer r.Body.Close()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -566,24 +562,36 @@ func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) (wire.Job, en
 // decodeBatch is the NDJSON intake shared by the sync and async batch
 // routes: one slot per non-blank line (wire.DecodeJobs), a line that
 // fails to decode keeping its slot and its error, and the default
-// battery applied. A batch over MaxBatchJobs is refused whole with
-// 413; on that or a body failure it has written the error response
-// and reports false.
+// battery applied. A batch over maxBatchJobs lines is refused whole
+// with 413 before any line is decoded; on that or a body failure it
+// has written the error response and reports false.
 func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]wire.Job, []engine.Job, []error, bool) {
 	body, ok := s.readBody(w, r)
 	if !ok {
 		return nil, nil, nil, false
 	}
-	wjobs, jobs, errs := wire.DecodeJobs(body)
-	if len(wjobs) > s.cfg.MaxBatchJobs {
+	if n := jobLines(body); n > maxBatchJobs {
 		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: batch has %d jobs, limit is %d", len(wjobs), s.cfg.MaxBatchJobs))
+			fmt.Errorf("server: batch has %d jobs, limit is %d", n, maxBatchJobs))
 		return nil, nil, nil, false
 	}
+	wjobs, jobs, errs := wire.DecodeJobs(body)
 	for i := range jobs {
 		wire.ApplyDefaultBattery(&jobs[i], s.cfg.DefaultBattery)
 	}
 	return wjobs, jobs, errs, true
+}
+
+// jobLines counts the non-blank lines of an NDJSON body: the slots
+// wire.DecodeJobs would return, without decoding any of them.
+func jobLines(body []byte) int {
+	n := 0
+	for line := range bytes.Lines(body) {
+		if len(bytes.TrimSpace(line)) > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // writeError sends the JSON error envelope shared by every endpoint.
@@ -594,20 +602,12 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// retryAfterSeconds resolves the Retry-After hint.
-func (s *Server) retryAfterSeconds() int {
-	if s.cfg.RetryAfter > 0 {
-		return s.cfg.RetryAfter
-	}
-	return 1
-}
-
 // writeRetryError is writeError plus a Retry-After header — the shape
 // of every transient rejection (429 queue-full, 503 draining), so
 // well-behaved clients know these are back-off-and-retry conditions,
 // not failures.
 func (s *Server) writeRetryError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	w.Header().Set("Retry-After", retryAfter)
 	s.writeError(w, status, err)
 }
 

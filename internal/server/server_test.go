@@ -205,22 +205,75 @@ func TestBatchDeterministicAndCached(t *testing.T) {
 	}
 }
 
-// TestBatchJobCap: a batch over the configured job limit is rejected
+// TestBatchJobCap: a batch over the 10000-job limit is rejected
 // outright (413), before any scheduling work.
 func TestBatchJobCap(t *testing.T) {
-	s := New(Config{MaxBatchJobs: 2})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body := strings.Repeat(`{"fixture":"g2","deadline":75}`+"\n", 3)
+	body := strings.Repeat(`{"fixture":"g2","deadline":75}`+"\n", maxBatchJobs+1)
 	resp, data := post(t, ts.URL+"/v1/batch", body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413 (%s)", resp.StatusCode, data)
 	}
-	if !strings.Contains(string(data), "limit is 2") {
-		t.Fatalf("error should name the limit: %s", data)
+	if !strings.Contains(string(data), "batch has 10001 jobs, limit is 10000") {
+		t.Fatalf("error should name the count and the limit: %s", data)
 	}
 	if s.Metrics().JobsTotal != 0 {
 		t.Fatal("capped batch must not run any jobs")
+	}
+}
+
+// TestBatchCapBoundary: the cap counts non-blank lines, whatever they
+// hold — 10001 cheap lines are refused on every batch route, and
+// exactly 10000 are admitted, each answered with its own error.
+func TestBatchCapBoundary(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	lines := func(n int) string { return strings.Repeat("{}\n\n", n) }
+
+	for _, route := range []string{"/v1/batch", "/v1/jobs/batch", "/v1/jobs/stream"} {
+		resp, data := post(t, ts.URL+route, lines(maxBatchJobs+1))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d, want 413 (%.200s)", route, resp.StatusCode, data)
+		}
+	}
+
+	resp, data := post(t, ts.URL+"/v1/batch", lines(maxBatchJobs))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (%.200s)", resp.StatusCode, data)
+	}
+	out := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(out) != maxBatchJobs {
+		t.Fatalf("%d result lines, want %d", len(out), maxBatchJobs)
+	}
+	for i, line := range out {
+		if !strings.Contains(line, `"error":`) {
+			t.Fatalf("line %d carries no error: %s", i, line)
+		}
+	}
+	if s.Metrics().JobsTotal != 0 {
+		t.Fatal("undecodable lines must not run any jobs")
+	}
+}
+
+// TestJobLinesMatchesDecodeJobs: the cap's line count is exactly the
+// number of slots wire.DecodeJobs returns, for blank, whitespace-only,
+// CRLF and unterminated lines alike.
+func TestJobLinesMatchesDecodeJobs(t *testing.T) {
+	for _, body := range []string{
+		"",
+		"\n\n",
+		"{}",
+		"{}\n",
+		" \t\n{}\r\n\r\n{}",
+		"{\"fixture\":\"g2\",\"deadline\":75}\n  \nnot json\n\v\f\n{}",
+	} {
+		wjobs, _, _ := wire.DecodeJobs([]byte(body))
+		if got := jobLines([]byte(body)); got != len(wjobs) {
+			t.Errorf("jobLines(%q) = %d, DecodeJobs gives %d slots", body, got, len(wjobs))
+		}
 	}
 }
 

@@ -11,10 +11,10 @@
 #
 #   2. Crash: SIGKILL the daemon in the middle of a resilient battload
 #      run and restart it on the same port and cache directory. The
-#      retrying client (internal/client) must ride through the outage —
-#      resubmitting jobs the restarted daemon no longer knows — and the
-#      run must end with zero lost jobs, zero double-terminals and zero
-#      byte divergence.
+#      run (retrying internal/client calls underneath) must ride through
+#      the outage — resubmitting jobs the restarted daemon no longer
+#      knows — and must end with zero lost jobs, zero double-terminals
+#      and zero byte divergence.
 #
 # This is the ops-facing twin of the in-process chaos harness
 # (battload -self -self-faults ...): same contract, real binary, real
