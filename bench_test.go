@@ -1,13 +1,14 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation, plus scaling and ablation benches for the design choices
-// DESIGN.md calls out. Run with:
+// ARCHITECTURE.md describes. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // Each BenchmarkTableN/BenchmarkFigureN target reproduces the computation
 // behind that exhibit; correctness of the regenerated values is asserted
-// by the unit tests (internal/core, internal/baseline, internal/battery)
-// and recorded in EXPERIMENTS.md.
+// by the unit tests (internal/core, internal/baseline, internal/battery);
+// ARCHITECTURE.md, "Reading the paper", says where they depart from the
+// paper's printed numbers.
 package battsched_test
 
 import (

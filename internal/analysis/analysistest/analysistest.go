@@ -63,7 +63,8 @@ func RunFiltered(t *testing.T, dir string, a *analysis.Analyzer, pkgpath string)
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, pkgpath, err)
 	}
-	filtered = analysis.Filter(raw, pkg, map[string]bool{a.Name: true}, nil)
+	ran := map[string]bool{a.Name: true}
+	filtered = analysis.Filter(raw, pkg, ran, ran)
 	return raw, filtered
 }
 

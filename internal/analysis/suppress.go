@@ -34,15 +34,11 @@ type suppression struct {
 //
 //   - an analyzer name not in known (the full battlint vocabulary),
 //   - a missing reason,
-//   - a suppression that matches no finding of an analyzer that ran
-//     (ran nil means every known analyzer ran) — stale allows only
-//     mislead.
+//   - a suppression that matches no finding of an analyzer in ran —
+//     stale allows only mislead.
 //
 // The returned slice is sorted.
 func Filter(findings []Finding, pkg *Package, known, ran map[string]bool) []Finding {
-	if ran == nil {
-		ran = known
-	}
 	var sups []suppression
 	var out []Finding
 	for _, f := range pkg.Files {

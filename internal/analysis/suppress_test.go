@@ -54,14 +54,14 @@ func f() {
 	// The directive is on line 4; a suppression covers its own line and
 	// the line below.
 	for _, line := range []int{4, 5} {
-		got := analysis.Filter([]analysis.Finding{finding(line)}, pkg, known, nil)
+		got := analysis.Filter([]analysis.Finding{finding(line)}, pkg, known, known)
 		if len(got) != 0 {
 			t.Errorf("finding on line %d not suppressed: %v", line, got)
 		}
 	}
 	// Two lines below is out of range: the finding survives and the
 	// allow is reported as stale.
-	got := analysis.Filter([]analysis.Finding{finding(6)}, pkg, known, nil)
+	got := analysis.Filter([]analysis.Finding{finding(6)}, pkg, known, known)
 	if len(got) != 2 {
 		t.Fatalf("got %d findings, want 2 (survivor + stale allow): %v", len(got), got)
 	}
@@ -78,7 +78,7 @@ func f() {
 	var _ = 0
 }
 `)
-	got := analysis.Filter([]analysis.Finding{finding(5)}, pkg, known, nil)
+	got := analysis.Filter([]analysis.Finding{finding(5)}, pkg, known, known)
 	// The detrange finding survives, and the hotpath allow (matching
 	// nothing) is stale.
 	if len(got) != 2 {
@@ -92,7 +92,7 @@ func TestFilterUnknownAnalyzer(t *testing.T) {
 //battlint:allow detrnge typo'd analyzer name
 func f() {}
 `)
-	got := analysis.Filter(nil, pkg, known, nil)
+	got := analysis.Filter(nil, pkg, known, known)
 	metas := metaMessages(got)
 	if len(metas) != 1 {
 		t.Fatalf("got %d meta-findings, want 1: %v", len(metas), got)
@@ -112,7 +112,7 @@ func f() {}
 //battlint:allow detrange
 func g() {}
 `)
-	got := analysis.Filter(nil, pkg, known, nil)
+	got := analysis.Filter(nil, pkg, known, known)
 	metas := metaMessages(got)
 	if len(metas) != 2 {
 		t.Fatalf("got %d meta-findings, want 2: %v", len(metas), got)
@@ -138,7 +138,7 @@ func f() {}
 		t.Errorf("allow for a non-run analyzer reported stale: %v", got)
 	}
 	// With the full vocabulary run, the same allow IS stale.
-	got = analysis.Filter(nil, pkg, known, nil)
+	got = analysis.Filter(nil, pkg, known, known)
 	if metas := metaMessages(got); len(metas) != 1 || !strings.Contains(metas[0], "suppresses nothing") {
 		t.Errorf("stale allow not reported under full run: %v", got)
 	}
@@ -151,7 +151,7 @@ func TestFilterLongerDirectiveNameNotConfused(t *testing.T) {
 //battlint:allowance detrange not a suppression
 func f() {}
 `)
-	got := analysis.Filter([]analysis.Finding{finding(4)}, pkg, known, nil)
+	got := analysis.Filter([]analysis.Finding{finding(4)}, pkg, known, known)
 	if len(got) != 1 || got[0].Analyzer != "detrange" {
 		t.Errorf("battlint:allowance treated as a suppression: %v", got)
 	}

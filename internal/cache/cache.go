@@ -293,16 +293,23 @@ func (c *Cache) diskPut(key string, res engine.Result) {
 	c.brk.record(c.disk.Put(key, res))
 }
 
-// Get returns the stored result for key without computing anything.
+// Get returns the stored result for key without computing anything and
+// without consulting the disk tier. A found entry is served exactly as
+// DoContext serves a memory hit: it becomes the most recently used and
+// counts in Stats.Hits. A missing one counts nowhere — the caller's
+// fallback (typically DoContext) does the counting.
 func (c *Cache) Get(key string) (engine.Result, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
+		c.mu.Unlock()
 		return engine.Result{}, false
 	}
 	c.ll.MoveToFront(el)
-	return CloneResult(el.Value.(*entry).res), true
+	res := el.Value.(*entry).res
+	c.mu.Unlock()
+	c.hits.Add(1)
+	return CloneResult(res), true
 }
 
 // store inserts (or refreshes) key under the LRU bound. Caller holds mu.
@@ -320,6 +327,10 @@ func (c *Cache) store(key string, res engine.Result) {
 		c.evictions.Add(1)
 	}
 }
+
+// MaxEntries returns the LRU bound: the most results the memory tier
+// holds at once.
+func (c *Cache) MaxEntries() int { return c.max }
 
 // Len returns the number of stored results.
 func (c *Cache) Len() int {

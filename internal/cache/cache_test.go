@@ -168,6 +168,37 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestGetCountsAsHit: Get serves a stored result as DoContext serves a
+// memory hit — counted in Hits and made most recently used — while a
+// missing key counts nowhere and computes nothing.
+func TestGetCountsAsHit(t *testing.T) {
+	c := New(2)
+	keys := make([]string, 3)
+	for i, d := range []float64{100, 150, 230} {
+		keys[i], _ = Key(g3Job(d))
+	}
+	for _, k := range keys[:2] {
+		c.Do(k, func() engine.Result { return engine.Result{Cost: 1} })
+	}
+	if _, ok := c.Get(keys[2]); ok {
+		t.Fatal("Get found a key never stored")
+	}
+	if res, ok := c.Get(keys[0]); !ok || res.Cost != 1 {
+		t.Fatalf("Get(stored) = %+v, %v", res, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want 1 hit / 2 misses", st)
+	}
+	// keys[0] is now the most recent, so storing a third evicts keys[1].
+	c.Do(keys[2], func() engine.Result { return engine.Result{Cost: 1} })
+	if _, ok := c.Get(keys[0]); !ok {
+		t.Fatal("Get did not refresh the entry's recency")
+	}
+	if _, ok := c.Get(keys[1]); ok {
+		t.Fatal("the least recently used entry survived")
+	}
+}
+
 // TestSingleFlight: concurrent identical requests compute once; the
 // waiters share the leader's result.
 func TestSingleFlight(t *testing.T) {

@@ -52,12 +52,29 @@ func (e *Engine) Run(job engine.Job) (engine.Result, bool) {
 // result. Cache hits still answer instantly — serving stored bytes
 // costs nothing worth canceling.
 func (e *Engine) RunContext(ctx context.Context, job engine.Job) (engine.Result, bool) {
+	return e.RunKeyedContext(ctx, job, e.key(job))
+}
+
+// RunKeyedContext is RunContext for a caller that has already derived
+// the job's cache key, so the job is hashed once per request: key must
+// be what Key(job) returns — "" for a job Key reports uncacheable.
+func (e *Engine) RunKeyedContext(ctx context.Context, job engine.Job, key string) (engine.Result, bool) {
 	// Ungated, a lone job may fan its multistart restarts over the whole
 	// pool, mirroring engine.RunBatch's bound-splitting for a one-job
 	// batch.
-	res, hit := e.run(ctx, job, e.workers())
+	res, hit := e.run(ctx, job, key, e.workers())
 	res.Index, res.Name = 0, job.Name
 	return res, hit
+}
+
+// key is the job's cache key, or "" when the job is uncacheable or
+// there is no cache to key into.
+func (e *Engine) key(job engine.Job) string {
+	if e.Cache == nil {
+		return ""
+	}
+	key, _ := Key(job)
+	return key
 }
 
 // RunBatch executes every job over the engine's pool and returns one
@@ -83,15 +100,15 @@ func (e *Engine) RunBatchContext(ctx context.Context, jobs []engine.Job) ([]engi
 	}
 	pool := engine.Engine{Workers: e.Workers}
 	pool.RunEachContext(ctx, len(jobs), func(i, restartWorkers int) {
-		res, hit := e.run(ctx, jobs[i], restartWorkers)
+		res, hit := e.run(ctx, jobs[i], e.key(jobs[i]), restartWorkers)
 		res.Index, res.Name = i, jobs[i].Name
 		results[i], hits[i] = res, hit
 	})
 	return results, hits
 }
 
-// run executes one job: cache lookup/single-flight when cacheable,
-// direct engine execution otherwise.
+// run executes one job: cache lookup/single-flight under key when the
+// job is cacheable, direct engine execution otherwise (key "").
 //
 // The job's Timeout starts counting here — before the Gate wait and
 // before any single-flight join — not just inside the engine. Timeout
@@ -99,7 +116,7 @@ func (e *Engine) RunBatchContext(ctx context.Context, jobs []engine.Job) ([]engi
 // budget-free leader's computation; without this wrapping it would wait
 // on that flight bounded only by the request context, ignoring its own
 // timeout_ms contract.
-func (e *Engine) run(ctx context.Context, job engine.Job, restartWorkers int) (engine.Result, bool) {
+func (e *Engine) run(ctx context.Context, job engine.Job, key string, restartWorkers int) (engine.Result, bool) {
 	if job.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, job.Timeout)
@@ -111,8 +128,7 @@ func (e *Engine) run(ctx context.Context, job engine.Job, restartWorkers int) (e
 	if e.Cache == nil {
 		return e.compute(ctx, job, restartWorkers), false
 	}
-	key, ok := Key(job)
-	if !ok {
+	if key == "" {
 		e.Cache.bypasses.Add(1)
 		return e.compute(ctx, job, restartWorkers), false
 	}

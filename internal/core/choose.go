@@ -852,7 +852,7 @@ func (s *Scheduler) factorsAt(L, posOf []int, te float64, pos, ti, j, ws, k int,
 		// column range). Columns are weighted window-relative: the
 		// window's highest-power column ws weighs 1, decreasing linearly
 		// to 0 at the lowest-power column m-1 (Equation 2 when ws = 0;
-		// see DESIGN.md §2).
+		// see ARCHITECTURE.md, "Reading the paper").
 		ufac := span
 		if ufac > 0 {
 			f := 1.0 / float64(ufac)

@@ -30,7 +30,7 @@ const (
 	// design points. The paper's text says "average energy", but its
 	// printed first sequence S1 for G3 is reproduced exactly by average
 	// current (and not by average energy), so this is the default. See
-	// DESIGN.md §2.
+	// ARCHITECTURE.md, "Reading the paper".
 	WeightAvgCurrent InitialWeight = iota
 	// WeightAvgEnergy ranks ready tasks by mean charge-energy (I·t)
 	// over their design points — the paper's literal wording, kept for
@@ -129,7 +129,7 @@ type Options struct {
 	DisableResequencing bool
 	// DPFColumns selects how the Fig. 2 pseudocode's DPF column loop is
 	// read (the paper is ambiguous for windows narrower than the full
-	// design space; see DESIGN.md §2).
+	// design space; see ARCHITECTURE.md, "Reading the paper").
 	DPFColumns DPFColumnRule
 	// Approx enables the documented approximation mode: a non-negative
 	// epsilon that relaxes the backward pass's candidate bound-skip.

@@ -409,7 +409,7 @@ func (s *Scheduler) runLoop(ctx context.Context, scr *runScratch, L []int, trace
 			// pseudocode does not reach this state for its inputs;
 			// we fall back to the always-feasible all-fastest
 			// assignment so a caller with a met-able deadline never
-			// gets an error (see DESIGN.md §2).
+			// gets an error (see ARCHITECTURE.md, "Reading the paper").
 			wAssign = scr.fallback
 			for i := range wAssign {
 				wAssign[i] = 0

@@ -86,9 +86,9 @@ func TestG3Window45MatchesPaper(t *testing.T) {
 // TestG3FinalResultShape checks the end-to-end run against the paper's
 // Table 3 bottom line: final sigma 13737 at 229.8 min after 4 iterations.
 // Individual wide-window cells differ from the paper's (its Fig. 2
-// pseudocode is ambiguous; see EXPERIMENTS.md), so we assert the shape:
-// monotone improvement, termination, and a final cost within 2% of the
-// paper's.
+// pseudocode is ambiguous; see ARCHITECTURE.md, "Reading the paper"), so
+// we assert the shape: monotone improvement, termination, and a final
+// cost within 2% of the paper's.
 func TestG3FinalResultShape(t *testing.T) {
 	s := mustScheduler(t, taskgraph.G3(), taskgraph.G3Deadline, Options{RecordTrace: true})
 	res, err := s.Run()

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from the reproduction's own algorithms, embedding the paper's
 // reported numbers for side-by-side comparison. The cmd/paperrepro binary
-// is a thin front end over this package, and EXPERIMENTS.md records one
-// captured run.
+// is a thin front end over this package; ARCHITECTURE.md, "Reading the
+// paper", names the readings behind the cells that differ.
 package experiments
 
 import (
@@ -21,7 +21,8 @@ import (
 )
 
 // Beta is the battery diffusion parameter every experiment uses (the
-// paper sets 0.273 for G3 and leaves G2 unstated; see DESIGN.md §3).
+// paper sets 0.273 for G3 and leaves G2 unstated; see ARCHITECTURE.md,
+// "Reading the paper").
 const Beta = battery.DefaultBeta
 
 func model() battery.Model { return battery.NewRakhmatov(Beta) }
@@ -95,7 +96,7 @@ func Table2() (*Table2Result, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"S1 matches the paper exactly; later sequences diverge where the ambiguous wide-window DPF details differ (see EXPERIMENTS.md)",
+		"S1 matches the paper exactly; later sequences diverge where the ambiguous wide-window DPF details differ (see ARCHITECTURE.md, \"Reading the paper\")",
 	)
 	return &Table2Result{Table: t, Trace: res.Trace}, nil
 }
@@ -255,7 +256,7 @@ func Table4() ([]ComparisonRow, *report.Table, error) {
 			report.Pct(r.PctDiff), report.F0(r.PaperOurs), report.F0(r.PaperBase), report.Pct(r.PaperPct))
 	}
 	t.Notes = append(t.Notes,
-		"G3 baseline cells reproduce the paper exactly (68120 / 48650 / 22686); G2 uses the reconstructed edge set (DESIGN.md §3)",
+		"G3 baseline cells reproduce the paper exactly (68120 / 48650 / 22686); G2 uses the reconstructed edge set (ARCHITECTURE.md, \"Reading the paper\")",
 	)
 	return rows, t, nil
 }
@@ -400,7 +401,7 @@ func Figure5() (*report.Table, string) {
 		}
 		t.AddRow(cells...)
 	}
-	t.Notes = append(t.Notes, "edge set reconstructed (DESIGN.md §3): 1→{2,3,4,5}, 2→6, 3→7, 4→8, 5→9")
+	t.Notes = append(t.Notes, "edge set reconstructed (ARCHITECTURE.md, \"Reading the paper\"): 1→{2,3,4,5}, 2→6, 3→7, 4→8, 5→9")
 	var dot strings.Builder
 	_ = g.WriteDOT(&dot, "G2")
 	return t, dot.String()

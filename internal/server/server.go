@@ -30,6 +30,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -130,7 +131,11 @@ type Server struct {
 	cfg    Config
 	cache  *cache.Cache // nil when caching is disabled
 	engine cache.Engine
-	jobs   *queue.Queue
+	// repeats maps /v1/schedule body digests to their cache keys (nil
+	// when caching is disabled), so a byte-identical repeat is answered
+	// without decoding; see handleSchedule.
+	repeats *aliases
+	jobs    *queue.Queue
 	// life is canceled by Close: the server-lifetime context every
 	// request's scheduling context is tied to.
 	life      context.Context
@@ -173,17 +178,30 @@ var specKinds = battery.Kinds()
 // served counts one job the engine answered, sync or async: the job
 // total, its battery-model kind, and whether it was cut short.
 func (m *metrics) served(job engine.Job, res engine.Result) {
+	m.servedKind(kindIndex(job), res)
+}
+
+// servedKind is served for a job whose kindIndex is already known.
+func (m *metrics) servedKind(kind int, res engine.Result) {
 	m.jobs.Add(1)
 	if errors.Is(res.Err, engine.ErrCanceled) {
 		m.canceled.Add(1)
 	}
-	spec := job.Options.BatterySpec()
+	if kind >= 0 {
+		m.modelKinds[kind].Add(1)
+	}
+}
+
+// kindIndex is the index of the job's battery-model kind in specKinds,
+// or -1 for a kind not listed there.
+func kindIndex(job engine.Job) int {
+	kind := job.Options.BatterySpec().Kind
 	for i, k := range specKinds {
-		if k == spec.Kind {
-			m.modelKinds[i].Add(1)
-			return
+		if k == kind {
+			return i
 		}
 	}
+	return -1
 }
 
 // New builds a server from the config. It panics on an invalid
@@ -200,6 +218,7 @@ func New(cfg Config) *Server {
 	s.metrics.modelKinds = make([]atomic.Uint64, len(specKinds))
 	if cfg.CacheEntries >= 0 {
 		s.cache = cache.NewTiered(cfg.CacheEntries, cfg.CacheStore, cfg.DiskBreaker)
+		s.repeats = newAliases(s.cache.MaxEntries())
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -302,9 +321,28 @@ func (s *Server) rejectDraining(w http.ResponseWriter) bool {
 // Decode and validation failures are 400s, scheduling failures
 // (infeasible deadline, …) are 422s with the same error envelope, and a
 // served result carries an X-Cache: hit|miss header.
+//
+// A body byte-identical to one served before is answered from its
+// SHA-256 alone when its result is still in the memory cache: no
+// decode, no graph build, no key hashing. It gets the same bytes, the
+// same headers and the same counters as the full path would give it.
+// Every other request — a new body, an evicted result, a draining
+// server — takes the full path, which records the alias once it has
+// served a result that was not canceled.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	s.metrics.schedule.Add(1)
-	_, job, ok := s.decodeJob(w, r)
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	var digest [sha256.Size]byte
+	if s.repeats != nil {
+		digest = sha256.Sum256(body)
+		if s.serveRepeat(w, digest) {
+			return
+		}
+	}
+	_, job, ok := s.parseJob(w, body)
 	if !ok || s.rejectDraining(w) {
 		return
 	}
@@ -312,8 +350,39 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.inFlight.Add(-1)
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	res, hit := s.engine.RunContext(ctx, job)
-	s.metrics.served(job, res)
+	var key string
+	if s.repeats != nil {
+		key, _ = cache.Key(job)
+	}
+	res, hit := s.engine.RunKeyedContext(ctx, job, key)
+	kind := kindIndex(job)
+	s.metrics.servedKind(kind, res)
+	if key != "" && !errors.Is(res.Err, engine.ErrCanceled) {
+		s.repeats.put(digest, alias{key: key, name: job.Name, kind: kind})
+	}
+	s.writeResult(w, res, hit)
+}
+
+// serveRepeat answers a body whose digest has an alias and whose result
+// the memory cache still holds, counting it as the full path counts a
+// memory hit, and reports whether it did.
+func (s *Server) serveRepeat(w http.ResponseWriter, digest [sha256.Size]byte) bool {
+	a, ok := s.repeats.get(digest)
+	if !ok || s.draining() {
+		return false
+	}
+	res, ok := s.cache.Get(a.key)
+	if !ok {
+		return false
+	}
+	res.Name = a.name
+	s.metrics.servedKind(a.kind, res)
+	s.writeResult(w, res, true)
+	return true
+}
+
+// writeResult sends one job's result as /v1/schedule answers it.
+func (s *Server) writeResult(w http.ResponseWriter, res engine.Result, hit bool) {
 	w.Header().Set("Content-Type", "application/json")
 	if hit {
 		w.Header().Set("X-Cache", "hit")
@@ -546,6 +615,11 @@ func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) (wire.Job, en
 	if !ok {
 		return wire.Job{}, engine.Job{}, false
 	}
+	return s.parseJob(w, body)
+}
+
+// parseJob is decodeJob for a body already read: a failure is a 400.
+func (s *Server) parseJob(w http.ResponseWriter, body []byte) (wire.Job, engine.Job, bool) {
 	job, err := wire.DecodeJob(body)
 	var ejob engine.Job
 	if err == nil {

@@ -19,7 +19,7 @@ import (
 // figure's edge drawing is not recoverable from the paper text, so the edge
 // set below is a reconstruction chosen from twelve candidates for best
 // agreement with the paper's Table 4 (see the g2Edges comment and
-// DESIGN.md §3).
+// ARCHITECTURE.md, "Reading the paper").
 
 // g3Row is one task row of Table 1: currents (mA) and durations (min) for
 // design points 1..5, plus parent task IDs.
@@ -96,7 +96,7 @@ var g2Data = []g2Row{
 // of 6..9, which exit the graph). Among the candidate structures consistent
 // with the Figure 5 layout, this one reproduces the paper's Table 4 shape
 // best — including the near-zero ours-vs-baseline gap at deadline 75 — see
-// DESIGN.md §3 and EXPERIMENTS.md.
+// ARCHITECTURE.md, "Reading the paper".
 var g2Edges = [][2]int{
 	{1, 2}, {1, 3}, {1, 4}, {1, 5},
 	{2, 6}, {3, 7}, {4, 8}, {5, 9},

@@ -16,9 +16,12 @@
 #   - every `Options.<Field>` the checked files name is a field that
 #     `go doc repro/internal/core Options` lists, so a deleted scheduler
 #     option cannot linger in the docs either.
+#   - every markdown file a `//` comment in a Go file names exists, so
+#     code cannot cite a design note that was never written.
 #
 # Run from anywhere; exits non-zero listing every broken link, every
-# unknown flag and every unknown Options field.
+# unknown flag, every unknown Options field and every missing cited
+# markdown file.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -107,8 +110,33 @@ for md in "${files[@]}"; do
   done < <(grep -oE '(^|[^A-Za-z0-9_])Options\.[A-Z][A-Za-z0-9_]*' "$md" | sed -E 's/.*Options\.//')
 done
 
+# Markdown files named in Go comments: every NAME.md or DIR/NAME.md in a
+# `//` comment must exist, from the repository root or from the Go
+# file's own directory, so a comment cannot cite a document that is not
+# there.
+mdrefs=0
+while IFS=$'\t' read -r at ref; do
+  mdrefs=$((mdrefs + 1))
+  gofile=${at%%:*}
+  if [ ! -e "$ref" ] && [ ! -e "$(dirname "$gofile")/$ref" ]; then
+    echo "doccheck: $at cites $ref, which does not exist"
+    fail=1
+  fi
+done < <(find . \( -name .git -o -name .bench_build \) -prune -o -name '*.go' -print | sort |
+  xargs grep -nHoE '//.*' |
+  awk '{
+    at = $0; sub(/:\/\/.*/, "", at)   # path:line
+    rest = substr($0, length(at) + 2)
+    while (match(rest, /[A-Za-z0-9_.\/-]+\.md([^A-Za-z0-9_]|$)/)) {
+      ref = substr(rest, RSTART, RLENGTH)
+      rest = substr(rest, RSTART + RLENGTH)
+      sub(/[^A-Za-z0-9_]$/, "", ref)
+      if (ref !~ /^\//) print at "\t" ref   # a URL path, not a file
+    }
+  }')
+
 if [ "$fail" -ne 0 ]; then
   echo "doccheck: FAILED"
   exit 1
 fi
-echo "doccheck: all doc links resolve (${#files[@]} files checked), flags of $invocations battschedd/battload invocations match their -h, Options fields named in docs exist ($named mentions)"
+echo "doccheck: all doc links resolve (${#files[@]} files checked), flags of $invocations battschedd/battload invocations match their -h, Options fields named in docs exist ($named mentions), markdown files cited in Go comments exist ($mdrefs citations)"
