@@ -34,8 +34,9 @@
 // observe the "aborted" terminal state.
 //
 // `-cache-dir` makes the result cache survive restarts: computed
-// results are written through to a crash-safe, content-addressed store
-// of one file per cache key under that directory (bounded by
+// results are written, behind their responses, to a crash-safe,
+// content-addressed store of one file per cache key under that
+// directory (a SIGINT or SIGTERM drains what is still queued; bounded by
 // `-cache-disk-max-bytes`, oldest evicted first), and a daemon
 // restarted on the same directory warm starts from it — the same
 // requests answer byte-identical from disk with zero recomputation.
@@ -49,7 +50,7 @@
 // `-disk-breaker-threshold` errors within `-disk-breaker-window`,
 // stops touching the disk and serves memory-only. Every
 // `-disk-breaker-probe` it lets one operation through; a success
-// re-closes the breaker and write-through resumes. GET /readyz reports
+// re-closes the breaker and disk writes resume. GET /readyz reports
 // ok while healthy, degraded (still 200 — the process serves) while
 // the breaker is open, and draining (503 + Retry-After) during
 // shutdown; /metrics exposes the breaker state and trip count.

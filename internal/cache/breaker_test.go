@@ -149,18 +149,21 @@ func TestCacheDegradesToMemoryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewTiered(8, st, BreakerConfig{Threshold: 3, Window: time.Minute, Probe: time.Hour})
+	c := newTier(t, 8, st, BreakerConfig{Threshold: 3, Window: time.Minute, Probe: time.Hour})
 
 	res := func(i int) engine.Result { return engine.Result{Strategy: "iterative", Cost: float64(i)} }
 	key := func(i int) string { return fmt.Sprintf("%064x", i+1) }
 
-	// Each unique key: clean disk miss, compute, failed write-through.
+	// Each unique key: clean disk miss, compute, queued write-behind.
 	for i := 0; i < 3; i++ {
 		got, cached := c.Do(key(i), func() engine.Result { return res(i) })
 		if cached || got.Cost != float64(i) {
 			t.Fatalf("Do(%d): cached=%v cost=%v", i, cached, got.Cost)
 		}
 	}
+	// Close drains the writer, whose three failed puts trip the
+	// breaker; every later write runs synchronously.
+	c.Close()
 	if got := c.Stats().DiskBreakerState; got != breakerOpen {
 		t.Fatalf("breaker state after 3 write failures = %s, want open", got)
 	}
@@ -209,7 +212,7 @@ func TestCacheBreakerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewTiered(8, st, BreakerConfig{Threshold: 3, Window: time.Minute, Probe: 10 * time.Second})
+	c := newTier(t, 8, st, BreakerConfig{Threshold: 3, Window: time.Minute, Probe: 10 * time.Second})
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	c.brk.now = clk.now
 
@@ -217,6 +220,7 @@ func TestCacheBreakerRecovery(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Do(key(i), func() engine.Result { return engine.Result{Strategy: "iterative"} })
 	}
+	c.Close() // the writer's three failed puts reach the breaker
 	if got := c.DiskBreakerState(); got != breakerOpen {
 		t.Fatalf("state = %s, want open", got)
 	}

@@ -13,8 +13,9 @@
 //     identical requests arriving concurrently compute once and share
 //     the result. An optional disk tier (internal/store) sits under the
 //     LRU: memory misses consult it before computing, disk hits are
-//     promoted into memory, and computed results are written through,
-//     so the cache survives a process restart.
+//     promoted into memory, and computed results are written behind by
+//     one writer goroutine, so the cache survives a process restart
+//     without a response ever waiting on an fsync.
 //   - Engine: a drop-in cached counterpart of engine.Engine. Its
 //     RunBatch has the same ordering, per-job-error and determinism
 //     guarantees as the uncached engine; only wall-clock time changes.
@@ -56,9 +57,11 @@ type Cache struct {
 	flights map[string]*flight       // keys being computed right now
 
 	// disk is the optional second tier, consulted on memory miss and
-	// written through on store. All disk IO happens outside mu, from
-	// inside the single-flight leader, so a slow disk never blocks
-	// memory hits and a key is read from disk at most once per miss.
+	// written behind on store. Disk reads happen outside mu, from inside
+	// the single-flight leader, so a slow disk never blocks memory hits
+	// and a key is read from disk at most once per miss. Disk writes
+	// (puts and a disk hit's recency touch) happen on the writer
+	// goroutine, fed through wq.
 	disk *store.Store
 	// brk guards every disk access: when the disk accumulates errors
 	// past the configured threshold, the breaker opens and the cache
@@ -72,6 +75,34 @@ type Cache struct {
 	dedups    atomic.Uint64
 	evictions atomic.Uint64
 	bypasses  atomic.Uint64
+
+	// wq is the write-behind queue (nil without a disk tier), drained
+	// in order by one writer goroutine that closes wdone when it exits.
+	// wmu orders every send against Close: a sender holds the read
+	// lock, and Close closes wq under the write lock, so no send can
+	// race the close. After Close (wclosed), writes run synchronously.
+	// These fields come last: placed between brk and hits, they made
+	// perfbench's memory-hit workload (sync-hot) measure ~4% slower.
+	wmu     sync.RWMutex
+	wq      chan diskOp
+	wclosed bool
+	wdone   chan struct{}
+}
+
+// writeBehindDepth is the write-behind queue's capacity. A full queue
+// blocks the leader that enqueues, and never drops the write: a dropped
+// write is a stored job the next process life recomputes. The depth
+// only has to absorb a burst of misses (one /v1/batch chunk finishing
+// at once) while the writer fsyncs; past it, leaders wait on the disk
+// as they did when every write was synchronous.
+const writeBehindDepth = 256
+
+// diskOp is one queued disk write: a computed result to Put, or, when
+// touch is set, a disk hit's recency refresh (store.Touch).
+type diskOp struct {
+	key   string
+	res   engine.Result
+	touch bool
 }
 
 // entry is one stored result; it lives in both ll and entries.
@@ -141,16 +172,21 @@ func New(maxEntries int) *Cache {
 
 // NewTiered is New with a disk tier layered under the LRU: memory
 // misses consult disk before computing (promoting hits into memory),
-// and computed results are written through, so the cache's contents
+// and computed results are written behind, so the cache's contents
 // survive a restart of the process that owns disk's directory. A nil
-// disk is exactly New. The disk tier is strictly best-effort — every
-// disk failure degrades to a miss or a skipped write (counted in
-// Stats.DiskErrors), never an error or a wrong result. A circuit
-// breaker guards the tier: when it returns bc.Threshold errors within
-// bc.Window, the breaker opens and the cache serves memory-only (disk
-// reads bypassed, writes skipped — both counted in Stats.DiskSkipped)
-// until a half-open probe after bc.Probe succeeds. A zero bc is the
-// default breaker (see BreakerConfig); bc.Threshold < 0 disables it.
+// disk is exactly New. With a disk, NewTiered starts the cache's writer
+// goroutine: every store write (a computed result's Put, a disk hit's
+// recency Touch) is queued to it instead of running on the caller's
+// path, so a miss is answered before its entry is fsynced. Call Close
+// to drain the queue and stop the writer. The disk tier is strictly
+// best-effort — every disk failure degrades to a miss or a skipped
+// write (counted in Stats.DiskErrors), never an error or a wrong
+// result. A circuit breaker guards the tier: when it returns
+// bc.Threshold errors within bc.Window, the breaker opens and the
+// cache serves memory-only (disk reads bypassed, writes skipped — both
+// counted in Stats.DiskSkipped) until a half-open probe after bc.Probe
+// succeeds. A zero bc is the default breaker (see BreakerConfig);
+// bc.Threshold < 0 disables it.
 func NewTiered(maxEntries int, disk *store.Store, bc BreakerConfig) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
@@ -164,6 +200,9 @@ func NewTiered(maxEntries int, disk *store.Store, bc BreakerConfig) *Cache {
 	}
 	if disk != nil {
 		c.brk = newBreaker(bc)
+		c.wq = make(chan diskOp, writeBehindDepth)
+		c.wdone = make(chan struct{})
+		go c.writeBehind()
 	}
 	return c
 }
@@ -232,7 +271,8 @@ func (c *Cache) DoContext(ctx context.Context, key string, compute func() engine
 		// hits) and inside the flight (concurrent identical requests
 		// share one disk read exactly as they share one computation).
 		// A disk hit is promoted into the memory LRU and completes the
-		// flight as if it had been computed.
+		// flight as if it had been computed; its recency touch is queued
+		// after the waiters are released.
 		if res, ok := c.diskGet(key); ok {
 			c.mu.Lock()
 			delete(c.flights, key)
@@ -240,6 +280,7 @@ func (c *Cache) DoContext(ctx context.Context, key string, compute func() engine
 			c.mu.Unlock()
 			f.res = res
 			close(f.done)
+			c.diskWrite(diskOp{key: key, touch: true})
 			return CloneResult(res), true
 		}
 
@@ -262,35 +303,85 @@ func (c *Cache) DoContext(ctx context.Context, key string, compute func() engine
 		c.mu.Unlock()
 		f.res = res
 		close(f.done)
-		// Write-through after the flight completes: waiters are already
-		// unblocked, and the memory entry is live, so disk latency costs
-		// only this one request. Failures are counted by the store and
-		// degrade to "not persisted".
-		c.diskPut(key, res)
+		// Write-behind after the flight completes: waiters are already
+		// unblocked and the memory entry is live, so this request waits
+		// for the disk only when the writer's queue is full.
+		if c.disk != nil {
+			c.diskWrite(diskOp{key: key, res: res})
+		}
 		return CloneResult(res), false
 	}
 }
 
 // diskGet consults the disk tier; a nil tier is a permanent miss, and
 // an open breaker bypasses the read — the miss recomputes instead of
-// waiting on a disk already known to be failing.
+// waiting on a disk already known to be failing. A hit's recency touch
+// is the caller's to queue.
 func (c *Cache) diskGet(key string) (engine.Result, bool) {
 	if c.disk == nil || !c.brk.allow() {
 		return engine.Result{}, false
 	}
-	res, ok, err := c.disk.Get(key)
+	res, ok, err := c.disk.Read(key)
 	c.brk.record(err)
 	return res, ok
 }
 
-// diskPut writes through to the disk tier, if any. Best-effort: the
-// store counts failures in its Errors counter, the breaker counts them
-// toward its trip threshold, and an open breaker skips the write.
-func (c *Cache) diskPut(key string, res engine.Result) {
-	if c.disk == nil || !c.brk.allow() {
+// diskWrite queues op for the writer goroutine, blocking while the
+// queue is full, or applies it on the caller's goroutine once Close has
+// stopped the writer. The read lock is held across the send so Close
+// cannot close wq under it; the send cannot wait forever, because the
+// writer never takes wmu and drains wq until Close closes it.
+func (c *Cache) diskWrite(op diskOp) {
+	c.wmu.RLock()
+	if !c.wclosed {
+		c.wq <- op
+		c.wmu.RUnlock()
 		return
 	}
-	c.brk.record(c.disk.Put(key, res))
+	c.wmu.RUnlock()
+	c.diskApply(op)
+}
+
+// writeBehind is the writer goroutine: it applies queued ops in order
+// until Close closes the queue.
+func (c *Cache) writeBehind() {
+	defer close(c.wdone)
+	for op := range c.wq {
+		c.diskApply(op)
+	}
+}
+
+// diskApply performs one disk write. A put is best-effort: the store
+// counts failures in its Errors counter, the breaker counts them toward
+// its trip threshold, and an open breaker skips the write. A touch is
+// best-effort recency bookkeeping and reports nothing.
+func (c *Cache) diskApply(op diskOp) {
+	if op.touch {
+		c.disk.Touch(op.key)
+		return
+	}
+	if !c.brk.allow() {
+		return
+	}
+	c.brk.record(c.disk.Put(op.key, op.res))
+}
+
+// Close drains the write-behind queue and stops the writer goroutine;
+// it returns once every write queued before it has reached the store.
+// A write after Close goes to the store on the caller's goroutine, so
+// a computation that races shutdown still persists its result. Close
+// is a no-op without a disk tier and safe to call more than once.
+func (c *Cache) Close() {
+	if c.wq == nil {
+		return
+	}
+	c.wmu.Lock()
+	if !c.wclosed {
+		c.wclosed = true
+		close(c.wq)
+	}
+	c.wmu.Unlock()
+	<-c.wdone
 }
 
 // Get returns the stored result for key without computing anything and

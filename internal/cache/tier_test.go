@@ -3,8 +3,8 @@ package cache
 // Two-tier behavior: the disk store under the LRU turns a fresh
 // in-memory cache into a warm one — memory misses are answered from
 // disk without running compute, disk hits are promoted into memory,
-// computed results are written through, and canceled computations are
-// never persisted.
+// computed results are written behind (Close drains them), and
+// canceled computations are never persisted.
 
 import (
 	"context"
@@ -39,24 +39,35 @@ func openTier(t *testing.T, dir string) *store.Store {
 	return st
 }
 
-// TestTierWriteThroughAndDiskHit: a computed result lands on disk; a
-// second cache sharing the store (fresh memory — a "restarted process")
-// answers the same key from disk without computing, promotes it into
-// memory, and the counters tell that story exactly.
+// newTier is NewTiered whose writer is stopped when the test ends,
+// before its temp directory is removed.
+func newTier(t *testing.T, maxEntries int, st *store.Store, bc BreakerConfig) *Cache {
+	t.Helper()
+	c := NewTiered(maxEntries, st, bc)
+	t.Cleanup(c.Close)
+	return c
+}
+
+// TestTierWriteThroughAndDiskHit: a computed result lands on disk once
+// Close has drained the writer; a second cache sharing the store (fresh
+// memory — a "restarted process") answers the same key from disk
+// without computing, promotes it into memory, and the counters tell
+// that story exactly.
 func TestTierWriteThroughAndDiskHit(t *testing.T) {
 	dir := t.TempDir()
 	want := tierResult(42)
 
-	c1 := NewTiered(0, openTier(t, dir), BreakerConfig{})
+	c1 := newTier(t, 0, openTier(t, dir), BreakerConfig{})
 	got, hit := c1.Do(tierKey(0), func() engine.Result { return want })
 	if hit || got.Cost != want.Cost {
 		t.Fatalf("first Do: hit=%v res=%+v", hit, got)
 	}
+	c1.Close()
 	if st := c1.Stats(); st.Misses != 1 || st.DiskMisses != 1 || st.DiskEntries != 1 {
 		t.Fatalf("after compute: %+v", st)
 	}
 
-	c2 := NewTiered(0, openTier(t, dir), BreakerConfig{})
+	c2 := newTier(t, 0, openTier(t, dir), BreakerConfig{})
 	computed := false
 	got, hit = c2.Do(tierKey(0), func() engine.Result { computed = true; return tierResult(-1) })
 	if computed {
@@ -85,10 +96,11 @@ func TestTierWriteThroughAndDiskHit(t *testing.T) {
 // corrupt the promoted memory canon.
 func TestTierDiskHitIsDeepCopy(t *testing.T) {
 	dir := t.TempDir()
-	c1 := NewTiered(0, openTier(t, dir), BreakerConfig{})
+	c1 := newTier(t, 0, openTier(t, dir), BreakerConfig{})
 	c1.Do(tierKey(0), func() engine.Result { return tierResult(7) })
+	c1.Close()
 
-	c2 := NewTiered(0, openTier(t, dir), BreakerConfig{})
+	c2 := newTier(t, 0, openTier(t, dir), BreakerConfig{})
 	got, _ := c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) })
 	got.Schedule.Order[0] = -99
 	again, hit := c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) })
@@ -101,13 +113,14 @@ func TestTierDiskHitIsDeepCopy(t *testing.T) {
 // either tier.
 func TestTierCanceledNotPersisted(t *testing.T) {
 	st := openTier(t, t.TempDir())
-	c := NewTiered(0, st, BreakerConfig{})
+	c := newTier(t, 0, st, BreakerConfig{})
 	res, hit := c.Do(tierKey(0), func() engine.Result {
 		return engine.Result{Err: engine.CanceledError(context.Canceled)}
 	})
 	if hit || !errors.Is(res.Err, engine.ErrCanceled) {
 		t.Fatalf("canceled compute: hit=%v err=%v", hit, res.Err)
 	}
+	c.Close()
 	if st.Len() != 0 {
 		t.Fatal("canceled result written to disk")
 	}
@@ -120,12 +133,13 @@ func TestTierCanceledNotPersisted(t *testing.T) {
 // the canon and survive the tier boundary like any other result.
 func TestTierErrorResultsPersist(t *testing.T) {
 	dir := t.TempDir()
-	c1 := NewTiered(0, openTier(t, dir), BreakerConfig{})
+	c1 := newTier(t, 0, openTier(t, dir), BreakerConfig{})
 	c1.Do(tierKey(0), func() engine.Result {
 		return engine.Result{Strategy: "iterative", Err: errors.New("core: infeasible deadline")}
 	})
+	c1.Close()
 
-	c2 := NewTiered(0, openTier(t, dir), BreakerConfig{})
+	c2 := newTier(t, 0, openTier(t, dir), BreakerConfig{})
 	got, hit := c2.Do(tierKey(0), func() engine.Result { return tierResult(-1) })
 	if !hit || got.Err == nil || got.Err.Error() != "core: infeasible deadline" {
 		t.Fatalf("error result after restart: hit=%v res=%+v", hit, got)

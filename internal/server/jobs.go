@@ -55,7 +55,7 @@ func (s *Server) submitJob(job wire.Job, ejob engine.Job) (queue.Snapshot, int, 
 		Priority: job.Priority,
 		TTL:      time.Duration(job.TTLMS) * time.Millisecond,
 		Run: func(ctx context.Context) engine.Result {
-			res, _ := s.engine.RunContext(ctx, ejob)
+			res, _ := s.engine.RunKeyedContext(ctx, ejob, id)
 			s.metrics.served(ejob, res)
 			return res
 		},

@@ -54,6 +54,7 @@ func TestReadyzDiskOK(t *testing.T) {
 	s := New(Config{Workers: 2, CacheStore: st})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	defer s.Close() // stops the cache's disk writer
 
 	resp, data := get(t, ts.URL+"/readyz")
 	rep := decodeReady(t, data)
@@ -86,7 +87,9 @@ func TestReadyzDegraded(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Three distinct computations → three failed write-throughs → trip.
+	// Three distinct computations → three failed write-behind puts →
+	// trip. Draining the cache's writer makes the trip happen before
+	// /readyz is read; later writes run synchronously.
 	for i := 0; i < 3; i++ {
 		body := fmt.Sprintf(`{"fixture":"g3","deadline":%d,"strategy":"iterative"}`, 230+i)
 		resp, _ := post(t, ts.URL+"/v1/schedule", body)
@@ -94,6 +97,7 @@ func TestReadyzDegraded(t *testing.T) {
 			t.Fatalf("schedule %d: status %d", i, resp.StatusCode)
 		}
 	}
+	s.Cache().Close()
 
 	resp, data := get(t, ts.URL+"/readyz")
 	if resp.StatusCode != http.StatusOK {

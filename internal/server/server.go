@@ -75,11 +75,12 @@ type Config struct {
 	CacheEntries int
 	// CacheStore, when non-nil, is the disk tier layered under the
 	// result LRU (cmd/battschedd's -cache-dir flag): memory misses
-	// consult it before computing, computed results are written through,
-	// and a server restarted on the same store answers repeated requests
-	// from disk with zero recomputation. Ignored when caching is
-	// disabled (CacheEntries < 0). The caller opens the store
-	// (store.Open) so startup owns the warm-start scan and its logging.
+	// consult it before computing, computed results are written behind
+	// (Close drains what is queued), and a server restarted on the same
+	// store answers repeated requests from disk with zero recomputation.
+	// Ignored when caching is disabled (CacheEntries < 0). The caller
+	// opens the store (store.Open) so startup owns the warm-start scan
+	// and its logging.
 	CacheStore *store.Store
 	// RequestTimeout bounds the scheduling work of one request (the
 	// whole batch, not per job); 0 means unbounded. When it fires,
@@ -249,12 +250,18 @@ func New(cfg Config) *Server {
 // marked with the "canceled" code (its finished ones keep their
 // results). The async queue drains too: new submissions get the same
 // 503, queued jobs abort without running, running ones are canceled,
-// and pollers/streamers observe the "aborted" terminal state. Safe to
-// call more than once.
+// and pollers/streamers observe the "aborted" terminal state. Last, the
+// cache's write-behind queue is drained, so every result computed
+// before Close returns is in the disk tier; a request still finishing
+// afterwards writes its result synchronously. Safe to call more than
+// once.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.stop()
 		s.jobs.Close()
+		if s.cache != nil {
+			s.cache.Close()
+		}
 	})
 }
 

@@ -239,14 +239,23 @@ func (s *Store) path(key string) string {
 }
 
 // Get returns the stored result for key, whether a valid entry was
-// found, and the disk error if one occurred. A clean miss (no entry) is
-// (zero, false, nil); an IO failure or a corrupt entry is (zero, false,
-// err) — the error return is what the cache's disk circuit breaker
-// counts. A corrupt entry is deleted and reported as a miss (and
-// counted in Errors); a hit refreshes the entry's mtime so the
-// byte-budget eviction approximates LRU. The returned result aliases
-// nothing — every Get decodes a fresh copy.
+// found, and the disk error if one occurred: Read, then Touch on a hit.
 func (s *Store) Get(key string) (engine.Result, bool, error) {
+	res, ok, err := s.Read(key)
+	if ok {
+		s.Touch(key)
+	}
+	return res, ok, err
+}
+
+// Read is Get without the recency refresh, for a caller that defers
+// Touch off its response path. A clean miss (no entry) is (zero, false,
+// nil); an IO failure or a corrupt entry is (zero, false, err) — the
+// error return is what the cache's disk circuit breaker counts. A
+// corrupt entry is deleted and reported as a miss (and counted in
+// Errors). The returned result aliases nothing — every Read decodes a
+// fresh copy.
+func (s *Store) Read(key string) (engine.Result, bool, error) {
 	if !validKey(key) {
 		s.misses.Add(1)
 		return engine.Result{}, false, nil
@@ -268,16 +277,25 @@ func (s *Store) Get(key string) (engine.Result, bool, error) {
 		s.misses.Add(1)
 		return engine.Result{}, false, fmt.Errorf("store: %w", err)
 	}
+	s.hits.Add(1)
+	return res, true, nil
+}
+
+// Touch refreshes key's mtime, on disk and in the index, so the
+// byte-budget eviction approximates LRU. It is best-effort: a failed
+// Chtimes or a key no longer stored changes nothing else.
+func (s *Store) Touch(key string) {
+	if !validKey(key) {
+		return
+	}
 	now := time.Now()
-	s.fsys.Chtimes(path, now, now) // best-effort recency for eviction
+	s.fsys.Chtimes(s.path(key), now, now) // best-effort recency for eviction
 	s.mu.Lock()
 	if e, ok := s.index[key]; ok {
 		e.mtime = now
 		s.index[key] = e
 	}
 	s.mu.Unlock()
-	s.hits.Add(1)
-	return res, true, nil
 }
 
 // discard removes a corrupt entry file and its index accounting.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // This file hard-codes the two benchmark task graphs the paper evaluates.
@@ -122,17 +123,27 @@ func G2() *Graph {
 
 // Fixture returns the built-in paper graph with the given name ("g2" or
 // "g3", case-insensitive) and the canonical spelling of the name. It is
-// the single registry every CLI resolves fixture names through.
+// the single registry every CLI and the server resolve fixture names
+// through. Each fixture is built once per process and every call
+// returns that same *Graph: a Graph is immutable, so sharing it is safe
+// for concurrent readers, and callers must not write through its Task
+// or TaskAt pointers. G2 and G3 build a private copy.
 func Fixture(name string) (*Graph, string, error) {
 	switch strings.ToLower(name) {
 	case "g2":
-		return G2(), "g2", nil
+		return sharedG2(), "g2", nil
 	case "g3":
-		return G3(), "g3", nil
+		return sharedG3(), "g3", nil
 	default:
 		return nil, "", fmt.Errorf("taskgraph: unknown fixture %q (want g2 or g3)", name)
 	}
 }
+
+// sharedG2 and sharedG3 are the graphs Fixture hands out.
+var (
+	sharedG2 = sync.OnceValue(G2)
+	sharedG3 = sync.OnceValue(G3)
+)
 
 // FixtureInfo describes one built-in benchmark graph for discovery
 // surfaces (battschedd's GET /v1/fixtures, CLI help).

@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -164,4 +165,63 @@ func TestFixtureRegistry(t *testing.T) {
 	if _, _, err := Fixture("g9"); err == nil {
 		t.Fatal("unknown fixture should error")
 	}
+}
+
+// TestFixtureShared: Fixture builds each graph once per process, so
+// every spelling of a name returns the same *Graph, while G2 and G3
+// still build private copies.
+func TestFixtureShared(t *testing.T) {
+	for _, names := range [][2]string{{"g2", "G2"}, {"g3", "G3"}} {
+		a, _, err := Fixture(names[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := Fixture(names[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("Fixture(%q) and Fixture(%q) returned different graphs", names[0], names[1])
+		}
+	}
+	shared, _, _ := Fixture("g3")
+	if G3() == shared {
+		t.Error("G3 returned the shared fixture, want a private copy")
+	}
+}
+
+// TestFixtureConcurrentReaders reads one shared fixture from many
+// goroutines at once, including the lazily built reachability lists,
+// and checks every reader sees what a private copy holds. Run it with
+// -race.
+func TestFixtureConcurrentReaders(t *testing.T) {
+	ref := G3()
+	var wantReach []int
+	for i := 0; i < ref.N(); i++ {
+		wantReach = append(wantReach, len(ref.ReachableIndices(i)))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, _, err := Fixture("g3")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < g.N(); i++ {
+				if got := len(g.ReachableIndices(i)); got != wantReach[i] {
+					t.Errorf("task %d reaches %d tasks, want %d", i, got, wantReach[i])
+				}
+				if got, want := g.TaskAt(i).Points, ref.TaskAt(i).Points; len(got) != len(want) || got[0] != want[0] {
+					t.Errorf("task %d points differ from a private copy", i)
+				}
+			}
+			if g.MinTotalTime() != ref.MinTotalTime() {
+				t.Error("MinTotalTime differs from a private copy")
+			}
+		}()
+	}
+	wg.Wait()
 }

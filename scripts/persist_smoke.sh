@@ -3,8 +3,11 @@
 # against a real daemon over real HTTP: populate a -cache-dir, restart
 # the process on the same directory, and require every repeated request
 # to answer X-Cache: hit with disk_hits > 0 and zero computations
-# (misses stays 0) in the second life. This is the ops-facing twin of
-# TestRestartServesFromDisk — same property, real binary, real signals.
+# (misses stays 0) in the second life. The first life ends with a SIGTERM
+# sent the moment a burst of misses is answered, while their entries
+# are still in the write-behind queue: the graceful drain must persist
+# every one. This is the ops-facing twin of TestRestartServesFromDisk —
+# same property, real binary, real signals.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,6 +51,22 @@ requests=(
   '{"fixture":"g2","deadline":55}'
 )
 
+# burst is one /v1/batch of distinct g3 jobs, so each line is a miss in
+# the first life and a disk hit in the second.
+burst_jobs=128
+burst="$workdir/burst.ndjson"
+for i in $(seq 0 $((burst_jobs - 1))); do
+  echo "{\"fixture\":\"g3\",\"deadline\":$((100 + i)),\"strategy\":\"iterative\"}"
+done >"$burst"
+
+# expect_burst <hits>: the burst must report X-Cache-Hits: <hits>/<jobs>.
+expect_burst() {
+  headers="$(curl -sS -D - -o /dev/null "$base/v1/batch" --data-binary @"$burst")"
+  echo "$headers" | grep -qi "^x-cache-hits: $1/$burst_jobs" || {
+    echo "burst: expected X-Cache-Hits: $1/$burst_jobs, got:"; echo "$headers"; exit 1
+  }
+}
+
 # expect_cache <hit|miss>: every request must carry that X-Cache value.
 expect_cache() {
   for body in "${requests[@]}"; do
@@ -58,20 +77,25 @@ expect_cache() {
   done
 }
 
-echo "== first life: populate $cachedir"
+echo "== first life: populate $cachedir, SIGTERM right after a burst of misses"
 start_daemon "$workdir/first.log"
 expect_cache miss
+expect_burst 0
 stop_daemon
 
 echo "== second life: same directory, same requests, zero computations"
 start_daemon "$workdir/second.log"
+grep -q "warm start from .*: $((3 + burst_jobs)) entries" "$workdir/second.log" || {
+  echo "second life did not find all $((3 + burst_jobs)) entries:"; cat "$workdir/second.log"; exit 1
+}
 expect_cache hit
+expect_burst "$burst_jobs"
 metrics="$(curl -sS "$base/metrics")"
-for want in '"disk_hits":3' '"misses":0'; do
+for want in "\"disk_hits\":$((3 + burst_jobs))," '"misses":0'; do
   echo "$metrics" | grep -qF "$want" || {
     echo "metrics missing $want:"; echo "$metrics"; exit 1
   }
 done
 stop_daemon
 
-echo "persist smoke OK: 3 requests re-served from disk, 0 recomputed"
+echo "persist smoke OK: $((3 + burst_jobs)) jobs re-served from disk, 0 recomputed"
